@@ -124,8 +124,14 @@ def test_tree_walk_benchmark(benchmark):
     benchmark(lambda: interp.eval(call))
 
 
+THROUGHPUT_REPEATS = 7
+
+
 def test_instruction_throughput(benchmark, bench_report):
-    """Raw GVM dispatch rate (instructions/second), for the record."""
+    """Raw GVM dispatch rate (instructions/second), for the record.
+
+    Timed with ``perf_counter`` as the min of N runs, so the report is
+    the same with or without ``--benchmark-disable``."""
     rt = make_runtime(deterministic=True)
     rt.eval_string(PROGRAMS["loop-sum 30000 — branch-heavy"][0])
     code = rt.compile(read_string("(bsum 5000)"))
@@ -135,11 +141,9 @@ def test_instruction_throughput(benchmark, bench_report):
         vm.run_code(code)
         return vm.instruction_count
 
-    instructions = run()
-    result = benchmark(run)
-    assert result == instructions
-    stats_mean = benchmark.stats.stats.mean
+    instructions, best_s = timed(run, repeats=THROUGHPUT_REPEATS)
+    assert benchmark(run) == instructions
     bench_report("gvm_throughput",
                  f"GVM dispatch rate: {instructions} instructions in "
-                 f"{stats_mean * 1e3:.2f} ms = "
-                 f"{instructions / stats_mean / 1e6:.2f} M instr/s")
+                 f"{best_s * 1e3:.2f} ms (min of {THROUGHPUT_REPEATS}) = "
+                 f"{instructions / best_s / 1e6:.2f} M instr/s")

@@ -140,136 +140,3 @@ def test_decode_benchmark(benchmark, payload):
     codec = FiberCodec("custom", registry=registry, hosts=hosts)
     blob = codec.dumps(continuation)
     benchmark(lambda: codec.loads(blob))
-
-
-# ---------------------------------------------------------------------------
-# Experiment S4c — incremental continuation snapshots (format v2)
-# ---------------------------------------------------------------------------
-
-LOOP_HEAVY_WORKFLOW = """
-(defun main (params)
-  (let ((carried (loop for i from 0 below 400 collect
-                       (list i "carried-payload-block" (* i 7))))
-        (acc (list)))
-    (dolist (i params)
-      (workflow-sleep 1)
-      (append! acc (* i 2)))
-    (list (length carried) (length acc))))
-"""
-
-SUSPENSIONS = 16
-
-
-def run_workflow(snapshots):
-    from repro.vinz.api import VinzEnvironment
-
-    env = VinzEnvironment(nodes=3, seed=5)
-    env.deploy_workflow("W", LOOP_HEAVY_WORKFLOW, snapshots=snapshots)
-    result = env.call("W", list(range(SUSPENSIONS)))
-    assert result == [400, SUSPENSIONS]
-    writes = env.counters.get("persist.writes")
-    nbytes = env.counters.get_sum("persist.bytes")
-    return env, writes, nbytes
-
-
-def test_incremental_snapshot_dedup(benchmark, bench_report):
-    """A loop-heavy workflow persists ~the same carried state at every
-    suspension; chunk-level dedup must cut bytes-per-suspension by at
-    least 2x versus whole-blob v1 persistence."""
-    import json
-    import os
-
-    from repro.bluebox.store import SharedStore
-    from repro.persistsnap import SnapshotPipeline
-
-    _v1_env, v1_writes, v1_bytes = run_workflow("v1")
-    v2_env, v2_writes, v2_bytes = run_workflow("v2")
-    assert v1_writes >= 10 and v2_writes >= 10
-
-    v1_per = v1_bytes / v1_writes
-    v2_per = v2_bytes / v2_writes
-    bytes_ratio = v1_per / v2_per
-    snap_stats = v2_env.summary()["snapshots"]
-
-    # restore latency: a captured loop-heavy continuation through the
-    # v1 codec vs the v2 chunk-fetch path
-    rt = make_runtime(deterministic=True)
-    rt.eval_string(PROGRAM)
-    captured = rt.start(
-        "(busy-work (loop for i from 0 below 400 collect i))")
-    registry = CodeRegistry()
-    hosts = HostFunctionRegistry()
-    for name, value in rt.global_env.variables.items():
-        if isinstance(value, GozerFunction):
-            registry.register_tree(value.code)
-        elif callable(value):
-            hosts.register(name.name, value)
-    codec = FiberCodec("deflate", registry=registry, hosts=hosts)
-    v1_blob = codec.dumps(captured.continuation)
-    pipeline = SnapshotPipeline(codec, SharedStore())
-    write = pipeline.encode("fiber-state/bench", captured.continuation,
-                            fiber_id="bench")
-    pipeline.store.write("fiber-state/bench", write.blob)
-
-    repeats = 20
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        codec.loads(v1_blob)
-    v1_restore_ms = (time.perf_counter() - t0) / repeats * 1e3
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        pipeline.load(write.blob, fiber_id="bench")
-    v2_restore_ms = (time.perf_counter() - t0) / repeats * 1e3
-
-    benchmark(lambda: pipeline.encode("fiber-state/bench",
-                                      captured.continuation,
-                                      fiber_id="bench"))
-
-    rows = [
-        ("v1 whole blob", v1_writes, int(v1_bytes), int(v1_per),
-         f"{v1_restore_ms:.2f}"),
-        ("v2 incremental", v2_writes, int(v2_bytes), int(v2_per),
-         f"{v2_restore_ms:.2f}"),
-    ]
-    lines = [table(
-        "Incremental snapshots — bytes persisted per suspension "
-        f"(loop-heavy workflow, {SUSPENSIONS} suspensions)",
-        ["format", "persists", "total bytes", "bytes/suspension",
-         "restore ms"],
-        rows)]
-    lines.append("")
-    lines.append(ratio_check(
-        "v1 / v2 bytes per suspension (acceptance: >= 2x)",
-        bytes_ratio, 2.0, tolerance=10.0))
-    lines.append(f"   pipeline dedup ratio (raw/written): "
-                 f"{snap_stats['dedup_ratio']:.2f}")
-    lines.append(f"   chunks new {snap_stats['chunks_new']}, "
-                 f"reused {snap_stats['chunks_reused']}")
-    bench_report("persistsnap_dedup", "\n".join(lines))
-
-    payload = {
-        "suspensions": SUSPENSIONS,
-        "v1_persists": v1_writes,
-        "v2_persists": v2_writes,
-        "v1_bytes": int(v1_bytes),
-        "v2_bytes": int(v2_bytes),
-        "v1_bytes_per_suspension": v1_per,
-        "v2_bytes_per_suspension": v2_per,
-        "bytes_ratio": bytes_ratio,
-        "dedup_ratio": snap_stats["dedup_ratio"],
-        "chunks_new": snap_stats["chunks_new"],
-        "chunks_reused": snap_stats["chunks_reused"],
-        "v1_restore_ms": v1_restore_ms,
-        "v2_restore_ms": v2_restore_ms,
-    }
-    out_dir = os.path.join(os.path.dirname(__file__), "out")
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "persistsnap_dedup.json"), "w") as fh:
-        json.dump(payload, fh, indent=2)
-
-    # the issue's acceptance bar
-    assert bytes_ratio >= 2.0, (
-        f"incremental snapshots only cut per-suspension bytes by "
-        f"{bytes_ratio:.2f}x (need >= 2x)")
-    # restore must stay the same order of magnitude as v1
-    assert v2_restore_ms < v1_restore_ms * 10

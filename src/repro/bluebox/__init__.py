@@ -23,7 +23,6 @@ from .store import DirectoryStore, SharedStore, StoreError
 from .locks import CoordinatorLockManager, FileLockManager, LockManager
 from .wsdl import WsdlDocument, WsdlOperation, WsdlParameter
 from .xmlmsg import ServiceMessage, XmlElement, element_to_value, value_to_element
-from .executor import LoadBalancingExecutor
 from .monitoring import ConcurrencySampler, Counters, TraceEvent, TraceLog
 
 __all__ = [
@@ -37,6 +36,5 @@ __all__ = [
     "CoordinatorLockManager", "FileLockManager", "LockManager",
     "WsdlDocument", "WsdlOperation", "WsdlParameter",
     "ServiceMessage", "XmlElement", "element_to_value", "value_to_element",
-    "LoadBalancingExecutor",
     "ConcurrencySampler", "Counters", "TraceEvent", "TraceLog",
 ]

@@ -13,7 +13,6 @@ The chaos-campaign harness lives in :mod:`repro.faults.campaign`
 
 from .retry import RetryPolicy
 from .plan import (
-    CORRUPT_CHUNK,
     CORRUPT_FRAME,
     CORRUPT_READ,
     CRASH,
@@ -27,16 +26,13 @@ from .plan import (
     FaultPlan,
     HistoryFault,
     JournalFault,
-    MISSING_CHUNK,
     MessageFault,
     NodeFault,
     SHARD_OUTAGE,
     SLOW,
     ShardFault,
-    SnapshotFault,
     StoreFault,
     TORN_COMMIT,
-    TORN_MANIFEST,
     TORN_TAIL,
 )
 from .injector import FaultInjector
@@ -44,12 +40,11 @@ from .injector import FaultInjector
 __all__ = [
     "RetryPolicy",
     "FaultPlan", "Fault", "MessageFault", "StoreFault", "NodeFault",
-    "ShardFault", "JournalFault", "SnapshotFault", "HistoryFault",
+    "ShardFault", "JournalFault", "HistoryFault",
     "FaultInjector",
     "DROP", "DUPLICATE", "DELAY",
     "FAIL_WRITE", "FAIL_READ", "CORRUPT_READ",
     "CRASH", "SLOW",
     "SHARD_OUTAGE", "TORN_COMMIT",
-    "TORN_MANIFEST", "MISSING_CHUNK", "CORRUPT_CHUNK",
     "TORN_TAIL", "DROPPED_BATCH", "CORRUPT_FRAME",
 ]

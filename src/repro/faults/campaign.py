@@ -219,7 +219,6 @@ def run_campaign(plan: FaultPlan, seed: int, name: str = "campaign",
                  scheduler: Any = None, admission: Any = None,
                  governor: Any = None,
                  items_range: Tuple[int, int] = (2, 5),
-                 snapshots: str = "v1",
                  locks: str = "coordinator",
                  lease_ttl: Optional[float] = None,
                  history: str = "off",
@@ -239,9 +238,7 @@ def run_campaign(plan: FaultPlan, seed: int, name: str = "campaign",
     per-task item count: fan-outs wider than the spawn limit keep the
     Listing-3 throttle loop re-reading the limit for the whole run,
     which is what lets a governor campaign observe mid-flight
-    adaptation.  ``snapshots="v2"`` deploys with incremental
-    continuation snapshots, the target of torn-manifest and
-    missing-chunk campaigns.  ``locks`` selects the lock backend
+    adaptation.  ``locks`` selects the lock backend
     (``"file"`` for lease-recovery campaigns: NFS locks have no
     failure detector, so only leases free a dead holder's lock) and
     ``lease_ttl`` overrides the platform's lease TTL.
@@ -268,7 +265,7 @@ def run_campaign(plan: FaultPlan, seed: int, name: str = "campaign",
     source = ADAPTIVE_CAMPAIGN_WORKFLOW if adaptive_spawn \
         else CAMPAIGN_WORKFLOW
     env.deploy_workflow("Campaign", source,
-                        spawn_limit=spawn_limit, snapshots=snapshots)
+                        spawn_limit=spawn_limit)
     injector = FaultInjector(seed, plan).install(env)
 
     rng = random.Random(seed ^ 0x5EED)

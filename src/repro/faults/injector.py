@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..bluebox.store import StoreCorruptionError, StoreReadError, StoreWriteError
 from .plan import (
-    CORRUPT_CHUNK,
     CORRUPT_FRAME,
     CORRUPT_READ,
     CRASH,
@@ -40,16 +39,13 @@ from .plan import (
     FaultPlan,
     HistoryFault,
     JournalFault,
-    MISSING_CHUNK,
     MessageFault,
     NodeFault,
     SHARD_OUTAGE,
     SLOW,
     ShardFault,
-    SnapshotFault,
     StoreFault,
     TORN_COMMIT,
-    TORN_MANIFEST,
     TORN_TAIL,
 )
 
@@ -251,50 +247,6 @@ class FaultInjector:
                              frame_len=frame_len, kept=keep)
                 return keep
         return None
-
-    # ------------------------------------------------------------------
-    # incremental-snapshot hooks (WorkflowService._persist_continuation_v2
-    # / SnapshotPipeline.fetch_state)
-    # ------------------------------------------------------------------
-
-    def on_manifest_write(self, key: str, blob: bytes) -> bytes:
-        """Torn-manifest faults: return what actually reaches storage.
-        The tear is *silent* — the writer believes the write succeeded;
-        the damage surfaces on the next restore as a
-        ``TornManifestError`` and the fiber's message retries."""
-        for index, fault in enumerate(self.plan.faults):
-            if not isinstance(fault, SnapshotFault) \
-                    or fault.action != TORN_MANIFEST:
-                continue
-            if self._triggered(index, fault.nth, fault.count):
-                keep = int(len(blob) * fault.keep_fraction)
-                self._record(TORN_MANIFEST, key=key,
-                             blob_len=len(blob), kept=keep)
-                return blob[:keep]
-        return blob
-
-    def on_chunk_read(self, key: str,
-                      payload: Optional[bytes]) -> Optional[bytes]:
-        """Missing-chunk / corrupt-chunk faults on the content-addressed
-        read path: return ``None`` (the block is gone) or the payload
-        with one bit flipped (the per-chunk digest check must catch
-        it).  Only healthy reads count toward firing windows."""
-        if payload is None:
-            return None
-        for index, fault in enumerate(self.plan.faults):
-            if not isinstance(fault, SnapshotFault) \
-                    or fault.action not in (MISSING_CHUNK, CORRUPT_CHUNK):
-                continue
-            if self._triggered(index, fault.nth, fault.count):
-                self._record(fault.action, key=key, payload_len=len(payload))
-                if fault.action == MISSING_CHUNK:
-                    return None
-                flipped = bytearray(payload)
-                position = self.rng.randrange(len(flipped)) if flipped else 0
-                if flipped:
-                    flipped[position] ^= 1 << self.rng.randrange(8)
-                return bytes(flipped)
-        return payload
 
     # ------------------------------------------------------------------
     # history-log hooks (HistoryLog.append_batch)

@@ -29,10 +29,6 @@ SLOW = "slow"
 # durable-store fault actions
 SHARD_OUTAGE = "shard-outage"
 TORN_COMMIT = "torn-commit"
-# incremental-snapshot (persistsnap) fault actions
-TORN_MANIFEST = "torn-manifest"
-MISSING_CHUNK = "missing-chunk"
-CORRUPT_CHUNK = "corrupt-chunk"
 # history-log fault actions
 TORN_TAIL = "torn-tail"
 DROPPED_BATCH = "dropped-batch"
@@ -203,40 +199,6 @@ class JournalFault:
 
 
 @dataclass(frozen=True)
-class SnapshotFault:
-    """Damage the incremental-snapshot (format v2) plane.
-
-    * ``torn-manifest`` — the Nth manifest write cluster-wide is
-      silently truncated to ``keep_fraction`` of its bytes (the writer
-      died inside ``write(2)``); the tear surfaces on the next restore
-      as a :class:`~repro.persistsnap.TornManifestError`.
-    * ``missing-chunk`` — the Nth chunk read returns nothing, as if GC
-      or an operator lost the content-addressed block.
-    * ``corrupt-chunk`` — the Nth chunk read comes back with a bit
-      flipped (position drawn from the injector's seeded RNG); the
-      per-chunk digest check must catch it.
-
-    Fires on matching operations number ``nth`` through
-    ``nth + count - 1`` (1-based, counted per fault).  All three must
-    surface as typed snapshot errors that abort the window for a
-    policy-driven retry — never a wrong-value restore.
-    """
-
-    action: str
-    nth: int = 1
-    count: int = 1
-    keep_fraction: float = 0.5
-
-    def __post_init__(self):
-        if self.action not in (TORN_MANIFEST, MISSING_CHUNK, CORRUPT_CHUNK):
-            raise ValueError(f"unknown snapshot fault action {self.action!r}")
-        if self.nth < 1 or self.count < 1:
-            raise ValueError("nth and count are 1-based and positive")
-        if not 0.0 <= self.keep_fraction < 1.0:
-            raise ValueError("keep_fraction must be in [0, 1)")
-
-
-@dataclass(frozen=True)
 class HistoryFault:
     """Damage the event-sourced history-log plane.
 
@@ -272,7 +234,7 @@ class HistoryFault:
 
 
 Fault = Union[MessageFault, StoreFault, NodeFault, ShardFault, JournalFault,
-              SnapshotFault, HistoryFault]
+              HistoryFault]
 
 
 @dataclass(frozen=True)
@@ -317,9 +279,6 @@ class FaultPlan:
     def journal_faults(self) -> List[JournalFault]:
         return [f for f in self.faults if isinstance(f, JournalFault)]
 
-    def snapshot_faults(self) -> List[SnapshotFault]:
-        return [f for f in self.faults if isinstance(f, SnapshotFault)]
-
     def history_faults(self) -> List[HistoryFault]:
         return [f for f in self.faults if isinstance(f, HistoryFault)]
 
@@ -335,7 +294,6 @@ class FaultPlan:
         kinds = {"MessageFault": MessageFault, "StoreFault": StoreFault,
                  "NodeFault": NodeFault, "ShardFault": ShardFault,
                  "JournalFault": JournalFault,
-                 "SnapshotFault": SnapshotFault,
                  "HistoryFault": HistoryFault}
         faults = []
         for entry in data.get("faults", []):

@@ -53,12 +53,10 @@ class Continuation:
         top = self.frames[-1].function_name if self.frames else "?"
         return f"#<continuation {self.label} at {top} ({len(self.frames)} frames)>"
 
-    # Pickle as a fixed-order tuple rather than the instance __dict__:
-    # the stable field ordering — with the frame stack *last*, deepest
-    # frame first — keeps the hot mutation (the top frame's pc and
-    # operand stack) at the tail of the serialized stream, so
-    # content-defined chunking (persistsnap) finds the long unchanged
-    # prefix byte-identical between suspensions and dedups it.
+    # Pickle as a fixed-order tuple rather than the instance __dict__.
+    # The field order is part of the persisted blob format: changing it
+    # changes every blob's bytes, so it stays fixed — frame stack last,
+    # deepest frame first.
     def __getstate__(self):
         return ("gozer-continuation", self.label, self.dynamics,
                 self.handlers, self.restarts, self.frames)

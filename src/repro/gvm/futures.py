@@ -16,10 +16,9 @@ Determination rules implemented from Section 4.1:
 * futures pickle as their determined value, so a persisted fiber never
   contains a running computation.
 
-The executor abstraction mirrors the JVM's ``ExecutorService``; BlueBox
-supplies a load-balancing implementation
-(:class:`repro.bluebox.executor.LoadBalancingExecutor`), and Vinz
-configures fibers to use it — here the default is a plain thread pool.
+The executor abstraction mirrors the JVM's ``ExecutorService``.  The
+default is a plain thread pool; Vinz runs fibers on the synchronous
+executor, so futures resolve inline on the simulated cluster.
 """
 
 from __future__ import annotations

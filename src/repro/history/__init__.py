@@ -1,11 +1,12 @@
 """Event-sourced task histories and deterministic replay.
 
-The third leg of the durability story, next to ``persistsnap`` and
-``vinz/recovery``: every nondeterministic decision a task makes is
-recorded as a typed event (``recorder``), persisted as CRC-framed
-batches on the shared store (``log``), and any fiber can be rebuilt —
-or a whole finished task *verified* — by re-executing its bytecode with
-the recorded decisions fed back in (``replay``).
+The third leg of the durability story, next to continuation snapshots
+(``vinz/persistence``) and ``vinz/recovery``: every nondeterministic
+decision a task makes is recorded as a typed event (``recorder``),
+persisted as CRC-framed batches on the shared store (``log``), and any
+fiber can be rebuilt — or a whole finished task *verified* — by
+re-executing its bytecode with the recorded decisions fed back in
+(``replay``).
 
 Only :mod:`.recorder` is imported eagerly: :mod:`.log` pulls in the
 vinz persistence framing and :mod:`.replay` the workflow service

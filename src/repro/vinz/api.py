@@ -463,29 +463,6 @@ class VinzEnvironment:
             out[kind] = hits / total if total else 0.0
         return out
 
-    def snapshot_stats(self) -> Optional[Dict[str, Any]]:
-        """Aggregate incremental-snapshot (v2) statistics across every
-        deployed workflow, plus the digest-cache hit rate; ``None``
-        when no workflow uses v2 snapshots."""
-        pipelines = [w.snapper for w in self.workflows.values()
-                     if w.snapper is not None]
-        if not pipelines:
-            return None
-        stats: Dict[str, Any] = {"format": "v2"}
-        for pipeline in pipelines:
-            for key, value in pipeline.stats_snapshot().items():
-                if key == "dedup_ratio":
-                    continue
-                stats[key] = stats.get(key, 0) + value
-        written = stats.get("written_bytes", 0)
-        stats["dedup_ratio"] = (round(stats.get("raw_bytes", 0) / written, 3)
-                                if written else 1.0)
-        hits = self.counters.get("cache.digest.hit")
-        misses = self.counters.get("cache.digest.miss")
-        total = hits + misses
-        stats["digest_cache_hit_rate"] = hits / total if total else 0.0
-        return stats
-
     def summary(self) -> Dict[str, Any]:
         return {
             "virtual_time": self.cluster.kernel.now,
@@ -515,7 +492,6 @@ class VinzEnvironment:
                                            "aged_promotions", 0),
             },
             "cache": self.cache_hit_rates(),
-            "snapshots": self.snapshot_stats(),
             "history": (self.history.summary()
                         if self.history is not None else None),
             "recovery": {"mode": self.recovery_mode,

@@ -96,14 +96,6 @@ class FiberCache:
                  immutable_capacity: int = 1024):
         self.mutable: LruCache[Tuple[str, int], Any] = LruCache(mutable_capacity)
         self.immutable: LruCache[str, Any] = LruCache(immutable_capacity)
-        #: v2 snapshots only: continuations keyed by manifest state
-        #: digest.  Content-addressed, so unlike the version-keyed
-        #: mutable cache a hit needs only that this node restored *the
-        #: same state bytes* before — a fiber suspending unchanged
-        #: around a loop hits here without refetching or deserializing.
-        #: (Content addressing also makes abort-eviction unnecessary:
-        #: a digest always names the state it was cached from.)
-        self.by_digest: LruCache[str, Any] = LruCache(mutable_capacity)
 
     def get_continuation(self, fiber_id: str, version: int,
                          default: Any = None) -> Optional[Any]:
@@ -117,12 +109,6 @@ class FiberCache:
         being rolled back, so a retry re-reaching it must not resume
         from the aborted window's state)."""
         self.mutable.invalidate((fiber_id, version))
-
-    def get_digest(self, hex_digest: str, default: Any = None) -> Optional[Any]:
-        return self.by_digest.get(hex_digest, default)
-
-    def put_digest(self, hex_digest: str, state: Any) -> None:
-        self.by_digest.put(hex_digest, state)
 
     def get_task_env(self, task_id: str, default: Any = None) -> Optional[Any]:
         return self.immutable.get(task_id, default)

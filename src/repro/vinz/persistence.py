@@ -38,17 +38,12 @@ from ..lang.bytecode import CodeObject
 
 MAGIC = b"GZR1"
 
-#: magic of the v2 incremental-snapshot manifest (persistsnap); a v1
-#: reader must recognize it to refuse it *clearly* rather than fail
-#: deep inside unpickling
-SNAPSHOT_V2_MAGIC = b"GZS2"
-
 
 class DeserializationError(StoreError, ValueError):
     """A persisted fiber blob failed to decode.
 
-    Carries the fiber id, the snapshot format and the codec (when
-    known), so a dead-letter report names *which* fiber's state is
+    Carries the fiber id and the codec (when known), and names the blob
+    format, so a dead-letter report names *which* fiber's state is
     undecodable instead of surfacing a bare ``zlib.error`` — the latent
     bug class this hierarchy fixes.  A :class:`~repro.bluebox.store.StoreError`
     so detection mid-fiber aborts the operation window for a
@@ -59,16 +54,15 @@ class DeserializationError(StoreError, ValueError):
     tunnels_through_vm = True
 
     def __init__(self, message: str, fiber_id: Optional[str] = None,
-                 fmt: str = "v1", codec: Optional[str] = None):
+                 codec: Optional[str] = None):
         detail = []
         if fiber_id is not None:
             detail.append(f"fiber={fiber_id}")
-        detail.append(f"format={fmt}")
+        detail.append("format=v1")
         if codec is not None:
             detail.append(f"codec={codec}")
         super().__init__(f"{message} ({', '.join(detail)})")
         self.fiber_id = fiber_id
-        self.format = fmt
         self.codec = codec
 
     def __str__(self) -> str:  # StoreError is a KeyError; avoid repr quoting
@@ -77,8 +71,7 @@ class DeserializationError(StoreError, ValueError):
 
 class SnapshotFormatError(DeserializationError):
     """The blob's *framing* is not one this deployment can read: not a
-    fiber blob at all, an unknown codec byte, or — the downgrade guard —
-    a v2 manifest read by a service configured for v1 snapshots."""
+    fiber blob at all (wrong magic), or an unknown codec byte."""
 
 CODEC_NONE = b"N"
 CODEC_GZIP = b"G"
@@ -262,14 +255,6 @@ class FiberCodec:
     # -- decode ---------------------------------------------------------
 
     def loads(self, blob: bytes, fiber_id: Optional[str] = None) -> Any:
-        if blob[:4] == SNAPSHOT_V2_MAGIC:
-            # downgrade guard: this fiber was persisted as a v2
-            # incremental-snapshot manifest; a v1-configured service
-            # must refuse it loudly, not feed manifest bytes to zlib
-            raise SnapshotFormatError(
-                "blob is a v2 incremental-snapshot manifest; this service "
-                "reads v1 — redeploy with snapshots=\"v2\" to restore it",
-                fiber_id=fiber_id, fmt="v2")
         if blob[:4] != MAGIC:
             raise SnapshotFormatError("not a Gozer fiber blob",
                                       fiber_id=fiber_id)
@@ -304,13 +289,7 @@ class FiberCodec:
 
     # -- the raw (uncompressed, unframed) layer ---------------------------
 
-    def serialize_state(self, state: Any) -> bytes:
-        """Serialize without compression or framing — the input to the
-        v2 chunking pipeline (compression there is per-chunk)."""
-        return self._pickle(state, ref_code=(self.codec == "custom"))
-
     def deserialize_state(self, raw: bytes, fiber_id: Optional[str] = None,
-                          fmt: str = "v1",
                           codec_name: Optional[str] = None) -> Any:
         """Deserialize raw pickled state, converting every decode
         failure into a typed :class:`DeserializationError` that names
@@ -323,7 +302,7 @@ class FiberCodec:
             raise DeserializationError(
                 f"fiber state failed to deserialize: "
                 f"{type(exc).__name__}: {exc}",
-                fiber_id=fiber_id, fmt=fmt, codec=codec_name) from exc
+                fiber_id=fiber_id, codec=codec_name) from exc
 
     # -- helpers ----------------------------------------------------------
 
@@ -390,10 +369,7 @@ def parse_crc_frames(data: bytes, magic: bytes,
 
 
 def blob_codec_name(blob: bytes) -> str:
-    """Identify which codec produced ``blob`` (``"v2-manifest"`` for an
-    incremental-snapshot manifest — its codec byte lives inside)."""
-    if blob[:4] == SNAPSHOT_V2_MAGIC:
-        return "v2-manifest"
+    """Identify which codec produced ``blob``."""
     if blob[:4] != MAGIC:
         raise SnapshotFormatError("not a Gozer fiber blob")
     for name, byte in FiberCodec.NAMES.items():

@@ -58,7 +58,6 @@ from ..observe.metrics import exponential_buckets
 from ..sched.governor import AUTO_SPAWN_LIMIT
 from . import deflink as deflink_module
 from . import distribution, handlers
-from ..persistsnap.manifest import is_manifest
 from .cache import FiberCache
 from .persistence import FiberCodec
 from .task import (
@@ -126,23 +125,17 @@ class WorkflowService(Service):
         # blob-size histograms flow into the cluster's metrics registry
         self.codec.metrics = getattr(
             getattr(vinz_env, "cluster", None), "metrics", None)
-        if snapshots not in ("v1", "v2"):
-            raise ValueError(f"unknown snapshot format {snapshots!r}")
-        self.snapshot_format = snapshots
+        # continuations persist in one format (whole FiberCodec blobs);
+        # the keyword survives only for callers that name it explicitly
+        if snapshots != "v1":
+            raise ValueError(f"unknown snapshot format {snapshots!r}; "
+                             "the only format is \"v1\"")
         if int(snapshot_interval) < 1:
             raise ValueError("snapshot_interval must be >= 1")
         #: persist the continuation only every Nth suspension; the
         #: versions in between are rebuilt by history replay (requires
         #: ``history="on"`` on the environment to take effect)
         self.snapshot_interval = int(snapshot_interval)
-        #: the incremental-snapshot pipeline (format v2); None in v1
-        #: mode, where continuations persist as whole compressed blobs
-        self.snapper = None
-        if snapshots == "v2":
-            from ..persistsnap import SnapshotPipeline
-
-            self.snapper = SnapshotPipeline(
-                self.codec, vinz_env.store, metrics=self.codec.metrics)
         self.runtime: Optional[Runtime] = None
         self.task_var_defaults: Dict[str, Any] = {}
         self.task_var_docs: Dict[str, str] = {}
@@ -1017,9 +1010,6 @@ class WorkflowService(Service):
     def _persist_continuation(self, ctx: OperationContext,
                               cache: Optional[FiberCache],
                               fiber: FiberRecord, continuation) -> None:
-        if self.snapper is not None:
-            return self._persist_continuation_v2(ctx, cache, fiber,
-                                                 continuation)
         if self._skip_persist(ctx, cache, fiber, continuation):
             return
         self._check_fence(ctx)
@@ -1047,70 +1037,6 @@ class WorkflowService(Service):
             # the just-written blob) back, and the message is requeued
             injector.on_persist(ctx, fiber)
 
-    def _persist_continuation_v2(self, ctx: OperationContext,
-                                 cache: Optional[FiberCache],
-                                 fiber: FiberRecord, continuation) -> None:
-        """Incremental persist: chunk-dedup against the fiber's prior
-        manifest, write only new chunks plus a small manifest."""
-        if self._skip_persist(ctx, cache, fiber, continuation):
-            return
-        self._check_fence(ctx)
-        fiber.version += 1
-        tracer = ctx.cluster.tracer
-        vstart = ctx.now + ctx.charged
-        injector = getattr(self.vinz, "injector", None)
-        self.snapper.injector = injector
-        key = self._state_key(fiber.id)
-        result = self.snapper.encode(key, continuation, fiber_id=fiber.id)
-        # hooks go in *before* the manifest write: if that write faults,
-        # the window abort must already know how to roll the chunk and
-        # refcount writes back
-        self._register_snapshot_hooks(ctx, result)
-        blob = result.blob
-        if injector is not None:
-            # a torn-manifest fault truncates the blob we are about to
-            # write — the tear is silent here and detected on restore
-            blob = injector.on_manifest_write(key, blob)
-        cost = result.cost + self.vinz.store.write(key, blob)
-        ctx.charge(cost)
-        physical = result.chunk_bytes_written + len(blob)
-        if tracer.enabled:
-            span = tracer.begin(
-                "snap.encode", kind="persistence", start=vstart,
-                parent_id=ctx.span_id or None, fiber=fiber.id,
-                version=fiber.version, raw=result.raw_len, bytes=physical,
-                new_chunks=result.chunks_new, reused=result.chunks_reused)
-            tracer.end(span, end=ctx.now + ctx.charged)
-        self.vinz.counters.incr("persist.writes")
-        self.vinz.counters.add("persist.bytes", physical)
-        self._record_snapshot(ctx, fiber)
-        if cache is not None:
-            cache.put_continuation(fiber.id, fiber.version, continuation)
-            cache.put_digest(result.manifest.hex_digest, continuation)
-        if injector is not None:
-            injector.on_persist(ctx, fiber)
-
-    def _register_snapshot_hooks(self, ctx: OperationContext,
-                                 result) -> None:
-        """Tie one incremental persist to its window's lifecycle: chunk
-        and refcount writes roll back on abort; the *prior* manifest's
-        stale references are dropped only after the window commits (a
-        retry replaying against the rolled-back manifest must still
-        find every chunk it names).  Undos run newest-first so repeated
-        persists in one window unwind exactly."""
-        undos = getattr(ctx, "_snap_undos", None)
-        if undos is None:
-            undos = []
-            ctx._snap_undos = undos
-
-            def run_undos():
-                for fn in reversed(undos):
-                    fn()
-
-            ctx.on_abort(run_undos)
-        undos.append(result.undo)
-        ctx.on_complete(result.release)
-
     def _load_continuation(self, ctx: OperationContext,
                            cache: Optional[FiberCache], fiber: FiberRecord):
         if cache is not None:
@@ -1129,26 +1055,18 @@ class WorkflowService(Service):
             # persisted (snapshot-interval elision) — rebuild it by
             # re-executing the fiber against its recorded history
             return self._rebuild_from_history(ctx, cache, fiber)
-        continuation = self._read_persisted(ctx, cache, fiber)
+        continuation = self._read_persisted(ctx, fiber)
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
         return continuation
 
-    def _read_persisted(self, ctx: OperationContext,
-                        cache: Optional[FiberCache], fiber: FiberRecord):
+    def _read_persisted(self, ctx: OperationContext, fiber: FiberRecord):
         """Read + decode the fiber's persisted continuation snapshot."""
         tracer = ctx.cluster.tracer
         vstart = ctx.now + ctx.charged
         blob = self.vinz.store.read(self._state_key(fiber.id))
         ctx.charge(self.vinz.store.cost(len(blob)))
-        if self.snapper is not None and is_manifest(blob):
-            continuation = self._restore_v2(ctx, cache, fiber, blob)
-        else:
-            # v1 blob — written by this service in v1 mode, or by a
-            # pre-upgrade deployment (a v2 service still reads them).
-            # A *manifest* reaching a v1 service trips the downgrade
-            # guard inside loads.
-            continuation = self.codec.loads(blob, fiber_id=fiber.id)
+        continuation = self.codec.loads(blob, fiber_id=fiber.id)
         if tracer.enabled:
             span = tracer.begin(
                 "persist.decode", kind="persistence", start=vstart,
@@ -1172,7 +1090,7 @@ class WorkflowService(Service):
         base = None
         if self.vinz.recovery_mode != "replay" \
                 and fiber.last_persisted_version > 0:
-            base = (self._read_persisted(ctx, cache, fiber),
+            base = (self._read_persisted(ctx, fiber),
                     fiber.last_persisted_version)
         continuation, instructions = self.vinz.replayer.rebuild(
             self, fiber, fiber.version, base=base)
@@ -1183,32 +1101,6 @@ class WorkflowService(Service):
                   base=(base[1] if base is not None else None))
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
-        return continuation
-
-    def _restore_v2(self, ctx: OperationContext,
-                    cache: Optional[FiberCache], fiber: FiberRecord,
-                    blob: bytes):
-        """Restore from a v2 manifest: digest-cache hit first (an
-        unchanged state skips chunk fetch *and* deserialization), else
-        fetch + verify every chunk.  Any corruption surfaces as a typed
-        :class:`~repro.persistsnap.SnapshotError` that aborts the window
-        for a policy-driven retry — never a wrong-value restore."""
-        injector = getattr(self.vinz, "injector", None)
-        self.snapper.injector = injector
-        manifest = self.snapper.read_manifest(blob, fiber_id=fiber.id)
-        if cache is not None:
-            hit = cache.get_digest(manifest.hex_digest, FiberCache.MISS)
-            if hit is not FiberCache.MISS:
-                self.vinz.counters.incr("cache.digest.hit")
-                return hit
-            self.vinz.counters.incr("cache.digest.miss")
-        raw, fetch_cost = self.snapper.fetch_state(manifest,
-                                                   fiber_id=fiber.id)
-        ctx.charge(fetch_cost)
-        continuation = self.codec.deserialize_state(raw, fiber_id=fiber.id,
-                                                    fmt="v2")
-        if cache is not None:
-            cache.put_digest(manifest.hex_digest, continuation)
         return continuation
 
     # -- dead-letter handling -----------------------------------------------
@@ -1252,19 +1144,6 @@ class WorkflowService(Service):
         """
         store = self.vinz.store
         for key in keys:
-            if self.snapper is not None:
-                # a v2 state key holds a manifest: drop its chunk
-                # references (GC rides the window's journal batch via
-                # the commit hook; out-of-band contexts release now)
-                blob = store.snapshot_value(key)
-                if blob is not None and is_manifest(blob):
-                    release = (lambda b=blob:
-                               self.snapper.release_blob(b))
-                    on_complete = getattr(ctx, "on_complete", None)
-                    if on_complete is not None:
-                        on_complete(release)
-                    else:
-                        release()
             try:
                 ctx.charge(store.delete(key))
             except StoreError:

@@ -1,12 +1,18 @@
 """Fiber persistence codec tests (paper Section 4.2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bluebox.store import StoreError
 from repro.gvm.runtime import make_runtime
 from repro.vinz.persistence import (
+    MAGIC,
     CodeRegistry,
+    DeserializationError,
     FiberCodec,
     HostFunctionRegistry,
+    SnapshotFormatError,
     blob_codec_name,
     compare_codecs,
 )
@@ -187,3 +193,143 @@ class TestCompareCodecs:
         results = compare_codecs({"x": ["repetitive data"] * 500})
         assert results["deflate"]["bytes"] < results["none"]["bytes"]
         assert results["gzip"]["bytes"] < results["none"]["bytes"]
+
+
+# -- fail-closed decoding ---------------------------------------------------
+#
+# Every decode failure surfaces as a DeserializationError naming the
+# fiber id, the format and (where known) the codec, and tunnels through
+# the VM boundary like other store errors so the retry/dead-letter
+# machinery sees it — never a bare UnpicklingError or zlib.error.
+
+STATE = {"stack": list(range(50)), "label": "suspend-3"}
+
+
+class TestErrorContext:
+    def test_truncated_pickle_names_fiber_and_format(self):
+        codec = FiberCodec("none")
+        blob = codec.dumps(STATE)
+        with pytest.raises(DeserializationError) as exc:
+            codec.loads(blob[:-7], fiber_id="fiber-0017")
+        message = str(exc.value)
+        assert "fiber-0017" in message
+        assert "format=v1" in message
+        assert "codec=none" in message
+
+    def test_corrupt_compressed_payload_names_codec(self):
+        for codec_name in ("gzip", "deflate", "custom"):
+            codec = FiberCodec(codec_name)
+            blob = codec.dumps(STATE)
+            damaged = blob[:5] + b"\x00garbage\xff" + blob[10:]
+            with pytest.raises(DeserializationError) as exc:
+                codec.loads(damaged, fiber_id="f2")
+            assert f"codec={codec_name}" in str(exc.value)
+            assert "f2" in str(exc.value)
+
+    def test_unknown_codec_byte_is_typed(self):
+        codec = FiberCodec("deflate")
+        blob = MAGIC + b"?" + b"whatever"
+        with pytest.raises(SnapshotFormatError) as exc:
+            codec.loads(blob, fiber_id="f3")
+        assert "f3" in str(exc.value)
+
+    def test_bad_magic_is_typed(self):
+        codec = FiberCodec("deflate")
+        with pytest.raises(SnapshotFormatError):
+            codec.loads(b"NOPE" + b"D" + b"x", fiber_id="f4")
+
+    def test_error_chains_original_cause(self):
+        codec = FiberCodec("none")
+        blob = codec.dumps(STATE)
+        with pytest.raises(DeserializationError) as exc:
+            codec.loads(blob[:-1], fiber_id="f5")
+        assert exc.value.__cause__ is not None
+
+    def test_deserialize_state_wraps_unpickling(self):
+        codec = FiberCodec("deflate")
+        with pytest.raises(DeserializationError) as exc:
+            codec.deserialize_state(b"not a pickle", fiber_id="f6")
+        assert "fiber=f6" in str(exc.value)
+        assert "format=v1" in str(exc.value)
+
+
+class TestErrorTyping:
+    """The hierarchy the rest of the platform depends on."""
+
+    def test_is_store_error_and_tunnels(self):
+        # StoreError → the window aborts, rolls back and retries per
+        # the fiber's RetryPolicy instead of poisoning the VM
+        assert issubclass(DeserializationError, StoreError)
+        err = DeserializationError("x", fiber_id="f")
+        assert err.tunnels_through_vm
+
+    def test_is_value_error_for_legacy_callers(self):
+        # pre-existing callers catch ValueError on bad blobs; the
+        # typed error must remain catchable there
+        assert issubclass(DeserializationError, ValueError)
+        assert issubclass(SnapshotFormatError, DeserializationError)
+
+    @given(st.binary(max_size=400))
+    @settings(max_examples=120, deadline=None)
+    def test_no_untyped_escape(self, junk):
+        """Whatever bytes arrive at loads(), the only exception that
+        may escape is the typed one."""
+        codec = FiberCodec("deflate")
+        try:
+            codec.loads(MAGIC + b"D" + junk, fiber_id="fz")
+        except DeserializationError:
+            pass  # typed — acceptable
+
+    @given(st.binary(max_size=400))
+    @settings(max_examples=120, deadline=None)
+    def test_no_untyped_escape_raw_layer(self, junk):
+        codec = FiberCodec("none")
+        try:
+            codec.deserialize_state(junk, fiber_id="fz")
+        except DeserializationError:
+            pass
+
+
+class TestRoundTripStillWorks:
+    def test_wrapping_does_not_break_good_blobs(self):
+        for codec_name in ("none", "gzip", "deflate", "custom"):
+            codec = FiberCodec(codec_name)
+            assert codec.loads(codec.dumps(STATE), fiber_id="f") == STATE
+
+    def test_loads_without_fiber_id_still_typed(self):
+        codec = FiberCodec("none")
+        blob = codec.dumps(STATE)
+        with pytest.raises(DeserializationError):
+            codec.loads(blob[:-3])
+
+
+class TestBlobFormat:
+    def test_v1_blob_roundtrips_through_new_code(self):
+        state = {"frames": list(range(200)), "pc": 3}
+        for codec_name in ("none", "gzip", "deflate", "custom"):
+            codec = FiberCodec(codec_name)
+            blob = codec.dumps(state)
+            assert blob[:4] == MAGIC
+            assert codec.loads(blob, fiber_id="f1") == state
+
+    def test_v1_magic_pinned(self):
+        assert MAGIC == b"GZR1"
+
+    def test_retired_chunked_manifest_fails_closed(self):
+        """Blobs of the retired chunked-snapshot format (magic
+        ``GZS2``) are not fiber blobs: decoding one must fail with a
+        typed error naming the fiber, never reach zlib or pickle."""
+        blob = b"GZS2" + bytes(40)
+        with pytest.raises(SnapshotFormatError) as exc:
+            FiberCodec("custom").loads(blob, fiber_id="f9")
+        assert "f9" in str(exc.value)
+        with pytest.raises(SnapshotFormatError):
+            blob_codec_name(blob)
+
+    def test_deploy_accepts_only_v1_snapshots(self):
+        from repro.vinz.api import VinzEnvironment
+
+        env = VinzEnvironment(nodes=1, seed=1)
+        env.deploy_workflow("V1", "(defun main (p) p)", snapshots="v1")
+        with pytest.raises(ValueError):
+            env.deploy_workflow("V2", "(defun main (p) p)", snapshots="v2")
