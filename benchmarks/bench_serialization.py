@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro.bluebox.store import SharedStore
+from repro.gvm.continuations import materialize
 from repro.gvm.frames import GozerFunction
 from repro.gvm.runtime import make_runtime
 from repro.harness.reporting import ratio_check, table
@@ -65,7 +66,9 @@ def measure(codec_name, continuation, registry, hosts, repeats=30):
     encode_s = (time.perf_counter() - t0) / repeats
     t0 = time.perf_counter()
     for _ in range(repeats):
-        codec.loads(blob)
+        state = codec.loads(blob)
+        if codec_name == "custom":  # it unpickles at resume instead
+            materialize(state)
     decode_s = (time.perf_counter() - t0) / repeats
     return {"bytes": len(blob), "encode_s": encode_s, "decode_s": decode_s}
 

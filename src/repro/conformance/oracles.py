@@ -26,8 +26,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from ..gvm.conditions import (GozerCondition, UnhandledConditionError,
                               coerce_condition)
-from ..gvm.continuations import capture, materialize
-from ..gvm.environment import DynamicBindings
+from ..gvm.continuations import capture
 from ..gvm.interpreter import (ContinuationsUnsupported, TreeInterpreter,
                                force, force_all)
 from ..gvm.runtime import Done, Yielded, make_runtime
@@ -298,15 +297,8 @@ def run_stepwise(program: GenProgram, stride: int = 1,
                 break
             continuation = capture(vm.frames, vm.handlers, vm.restarts,
                                    vm.dynamics.snapshot(), label="step")
-            continuation = pickle.loads(pickle.dumps(continuation))
-            frames, handlers, restarts, dynamics = materialize(continuation)
             vm = rt.new_vm(allow_yield=True)
-            vm.handlers = handlers
-            vm.restarts = restarts
-            vm.dynamics = DynamicBindings()
-            for name, dyn_value in dynamics.items():
-                vm.dynamics.push(name, dyn_value)
-            vm.frames = frames
+            vm.restore(pickle.loads(pickle.dumps(continuation)))
             install_hook(vm)
             pending = lambda: vm._run_top(None)  # noqa: E731
         except Exception as exc:  # noqa: BLE001

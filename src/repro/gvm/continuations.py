@@ -3,110 +3,109 @@
 Paper Section 3.1: "A continuation represents the completion of the same
 flow of control (compare to a future, which represents the completion of
 a *different* flow of control)."  The GVM grants one at any ``yield`` or
-``push-cc``.  Vinz serializes continuations to the shared store and
-resumes them on whatever node the message queue picks — that is the
-entire distribution story, so continuations must be:
-
-* *self-contained*: a deep snapshot of the frame stack, sharing nothing
-  mutable with the running fiber;
-* *future-free*: every future reachable from the snapshot is determined
-  first (Section 4.1);
-* *serializable*: plain data + code objects, picklable as-is.
+``push-cc``.  Section 4.2 persists a suspended fiber as one serialization
+of its frame stack, so a continuation *is* that pickle, taken once by
+:func:`capture` through a :class:`~.registry.ProgramTable`:
+it shares nothing with the running fiber, pickling a future determines
+it (Section 4.1), and each :func:`materialize` unpickles a fresh copy.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Any, List, Optional
+import copy  # noqa: F401 - unused; tools count deep copies by swapping it
+import pickle
+from typing import List, Optional
 
-from ..lang.bytecode import CodeObject
-from ..lang.symbols import Symbol
 from .frames import Frame
-from .futures import find_futures
-
-# CodeObjects and Symbols are immutable after compilation: teach deepcopy
-# to share them instead of duplicating the whole program per snapshot.
-CodeObject.__deepcopy__ = lambda self, memo: self  # type: ignore[attr-defined]
-Symbol.__deepcopy__ = lambda self, memo: self  # type: ignore[attr-defined]
+from .registry import DECODE_ERRORS, ProgramTable
 
 
 class Continuation:
-    """A resumable snapshot of a fiber's control state.
+    """A resumable snapshot of a fiber's control state, held as bytes.
 
-    ``frames`` is a deep copy of the VM frame stack at capture time, with
-    the program counter of the top frame pointing just *after* the
-    capturing instruction, and its operand stack expecting the resume
-    value to be pushed.  ``handlers``/``restarts`` snapshot the dynamic
-    condition-system state; ``dynamics`` snapshots special-variable
-    bindings.
+    ``payload`` pickles, through ``table``, a fixed-order state tuple —
+    label, special bindings, handlers, restarts and frame stack (top
+    frame's pc just after the capturing instruction).  It never changes,
+    so holders share it freely.  ``decode_error`` maps a failure to
+    decode a damaged payload to the error to raise instead.
     """
 
-    def __init__(self, frames: List[Frame], handlers: list, restarts: list,
-                 dynamics: dict, label: str = "continuation"):
-        self.frames = frames
-        self.handlers = handlers
-        self.restarts = restarts
-        self.dynamics = dynamics
-        self.label = label
+    __slots__ = ("payload", "table", "decode_error", "_state")
+
+    def __init__(self, payload: Optional[bytes], table: Optional[ProgramTable],
+                 decode_error=None):
+        self.payload = payload
+        self.table = table
+        self.decode_error = decode_error
+        #: the state tuple while held by value (captured or unpickled)
+        self._state: Optional[tuple] = None
+
+    @property
+    def frames(self) -> List[Frame]:
+        """A decoded copy of the frame stack, for inspection."""
+        return self._decode()[5]
 
     def __repr__(self) -> str:
-        top = self.frames[-1].function_name if self.frames else "?"
-        return f"#<continuation {self.label} at {top} ({len(self.frames)} frames)>"
+        _tag, label, _dynamics, _handlers, _restarts, frames = self._decode()
+        top = frames[-1].function_name if frames else "?"
+        return f"#<continuation {label} at {top} ({len(frames)} frames)>"
 
-    # Pickle as a fixed-order tuple rather than the instance __dict__.
-    # The field order is part of the persisted blob format: changing it
-    # changes every blob's bytes, so it stays fixed — frame stack last,
-    # deepest frame first.
+    # the tuple's field order is part of the persisted blob format
     def __getstate__(self):
-        return ("gozer-continuation", self.label, self.dynamics,
-                self.handlers, self.restarts, self.frames)
+        return self._state if self.payload is None else self._decode()
 
     def __setstate__(self, state):
-        if isinstance(state, dict):  # legacy v1 blobs pickled __dict__
-            self.__dict__.update(state)
-            return
-        _tag, label, dynamics, handlers, restarts, frames = state
-        self.label = label
-        self.dynamics = dynamics
-        self.handlers = handlers
-        self.restarts = restarts
-        self.frames = frames
+        _tag, _label, _dynamics, _handlers, _restarts, _frames = state
+        self.__init__(None, None)
+        self._state = state
 
     def estimated_size(self) -> int:
-        """A rough serialized-size estimate (frame and stack counts)."""
-        return sum(len(f.stack) + len(f.code.instructions) for f in self.frames)
+        """The serialized size in bytes."""
+        return len(self._encoded())
+
+    def _encoded(self, table: Optional[ProgramTable] = None) -> bytes:
+        if self.payload is None:  # held by value: encode it once
+            self.table = table or ProgramTable(by_identity=True)
+            self.payload = self.table.dumps(self)
+            self._state = None
+        return self.payload
+
+    def _decode(self) -> tuple:
+        """A fresh copy of the state tuple."""
+        payload = self._encoded()
+        try:
+            return self.table.loads(payload)._state
+        except DECODE_ERRORS as exc:
+            if self.decode_error is None:
+                raise
+            raise self.decode_error(exc) from exc
+
+
+#: a pickled continuation's class and NEWOBJ, after the 11-byte header
+_HEAD = pickle.dumps(
+    Continuation, protocol=pickle.HIGHEST_PROTOCOL)[11:-1] + b")\x81"
+
+
+def is_continuation_pickle(raw: bytes) -> bool:
+    """Is ``raw`` a pickled :class:`Continuation` (protocol 5, framed)?"""
+    return raw.startswith(_HEAD, 11)
 
 
 def capture(frames: List[Frame], handlers: list, restarts: list,
-            dynamics: dict, label: str = "continuation") -> Continuation:
-    """Snapshot the given VM state into a :class:`Continuation`.
-
-    Enforces the determination rule: every future reachable from the
-    frames is touched (blocking if necessary) before the copy is taken,
-    so "the continuation doesn't become available until all futures have
-    completed" (Section 4.1).
-    """
-    for future in find_futures(frames):
-        future.touch()
-    memo: dict = {}
-    frames_copy = copy.deepcopy(frames, memo)
-    handlers_copy = copy.deepcopy(handlers, memo)
-    restarts_copy = copy.deepcopy(restarts, memo)
-    dynamics_copy = copy.deepcopy(dynamics, memo)
-    return Continuation(frames_copy, handlers_copy, restarts_copy,
-                        dynamics_copy, label=label)
+            dynamics: dict, label: str = "continuation",
+            table: Optional[ProgramTable] = None) -> Continuation:
+    """Snapshot the given VM state into a :class:`Continuation`
+    (through a private by-identity table if ``table`` is None)."""
+    continuation = Continuation.__new__(Continuation)
+    continuation.__setstate__(("gozer-continuation", label, dynamics,
+                               handlers, restarts, frames))
+    continuation._encoded(table)
+    return continuation
 
 
 def materialize(continuation: Continuation) -> tuple:
-    """Produce fresh, runnable state from a continuation.
-
-    The continuation itself stays untouched, so it can be resumed more
-    than once (each resume gets an independent copy) — this is also what
-    makes ``fork-and-exec`` cloning (Section 3.4) a one-liner.
-    """
-    memo: dict = {}
-    frames = copy.deepcopy(continuation.frames, memo)
-    handlers = copy.deepcopy(continuation.handlers, memo)
-    restarts = copy.deepcopy(continuation.restarts, memo)
-    dynamics = copy.deepcopy(continuation.dynamics, memo)
+    """Decode fresh, runnable ``(frames, handlers, restarts, dynamics)``;
+    the continuation is untouched, so it can be resumed again (a
+    ``push-cc`` continuation is multi-shot)."""
+    _tag, _label, dynamics, handlers, restarts, frames = continuation._decode()
     return frames, handlers, restarts, dynamics

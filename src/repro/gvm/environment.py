@@ -6,8 +6,8 @@ Environments must satisfy two requirements from the paper:
   continuations and serialized with a fiber, Section 4.2), and
 * a forked child fiber gets a *clone* of the parent's state, after which
   "changes either fiber makes will not be visible to its clone"
-  (Section 3.4) — deep-copying an :class:`Env` chain is therefore a
-  supported, ordinary operation.
+  (Section 3.4) — pickling an :class:`Env` chain (how continuations
+  and fork-and-exec clones are taken) is an ordinary operation.
 """
 
 from __future__ import annotations
@@ -178,9 +178,6 @@ class GlobalEnvironment:
         self.intrinsics[name] = fn
         # Intrinsics are also visible as ordinary %-prefixed functions.
         self.variables[Symbol("%" + name)] = fn
-
-    def get_intrinsic(self, name: str) -> Optional[Callable]:
-        return self.intrinsics.get(name)
 
     def declare_special(self, name: Symbol) -> None:
         self.special_names.add(name)

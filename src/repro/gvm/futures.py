@@ -10,11 +10,10 @@ Determination rules implemented from Section 4.1:
 
 * passing a future to a host ("Java") library or a service determines
   it — the VM forces future arguments before invoking host callables;
-* capturing a continuation determines every future referenced from it
-  ("the continuation doesn't become available until all futures have
-  completed");
 * futures pickle as their determined value, so a persisted fiber never
-  contains a running computation.
+  contains a running computation, and capturing a continuation (which
+  pickles it) determines every future it references ("the continuation
+  doesn't become available until all futures have completed").
 
 The executor abstraction mirrors the JVM's ``ExecutorService``.  The
 default is a plain thread pool; Vinz runs fibers on the synchronous
@@ -23,9 +22,10 @@ executor, so futures resolve inline on the simulated cluster.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, Optional
 
 from ..lang.errors import GozerRuntimeError
 
@@ -33,6 +33,10 @@ _PENDING = "pending"
 _RUNNING = "running"
 _DETERMINED = "determined"
 _FAILED = "failed"
+
+#: orders determinations: a pickle marked with one can tell the futures
+#: it meets that were determined before it started
+tick = itertools.count().__next__
 
 #: Per-thread flag: is this thread advancing a fiber (as opposed to a
 #: future's background processing thread)?  Vinz consults this to decide
@@ -63,13 +67,14 @@ class GozerFuture:
     the stored exception is re-raised in the touching thread.
     """
 
-    __slots__ = ("_state", "_value", "_error", "_event", "label")
+    __slots__ = ("_state", "_value", "_error", "_event", "_tick", "label")
 
     def __init__(self, label: str = "future"):
         self._state = _PENDING
         self._value: Any = None
         self._error: Optional[BaseException] = None
         self._event = threading.Event()
+        self._tick: Optional[int] = None
         self.label = label
 
     # -- state transitions (called by the executor) --------------------
@@ -79,11 +84,13 @@ class GozerFuture:
 
     def _determine(self, value: Any) -> None:
         self._value = value
+        self._tick = tick()
         self._state = _DETERMINED
         self._event.set()
 
     def _fail(self, error: BaseException) -> None:
         self._error = error
+        self._tick = tick()
         self._state = _FAILED
         self._event.set()
 
@@ -92,6 +99,10 @@ class GozerFuture:
     @property
     def determined(self) -> bool:
         return self._state in (_DETERMINED, _FAILED)
+
+    def determined_before(self, mark: int) -> bool:
+        """Was this future determined before :func:`tick` gave ``mark``?"""
+        return self._tick is not None and self._tick < mark
 
     def touch(self, timeout: Optional[float] = None) -> Any:
         """Await determination and return the value (paper's ``touch``)."""
@@ -107,25 +118,16 @@ class GozerFuture:
     # -- serialization --------------------------------------------------
     # A future pickles as its determined value (Section 4.1's rule that
     # persistence implies determination).  Pickling an undetermined
-    # future blocks until it determines.
+    # future blocks until it determines, so continuation capture does.
 
     def __getstate__(self):
         value = self.touch()
         return {"label": self.label, "value": value}
 
     def __setstate__(self, state):
-        self._event = threading.Event()
-        self.label = state["label"]
-        self._error = None
+        self.__init__(state["label"])
         self._determine(state["value"])
-
-    def __deepcopy__(self, memo):
-        # Continuation capture deep-copies frames; by the capture rule
-        # the future is already determined, so copy as determined.
-        clone = GozerFuture(self.label)
-        clone._determine(self.touch())
-        memo[id(self)] = clone
-        return clone
+        self._tick = -1  # a snapshot's value: before every pickle's mark
 
 
 def force(value: Any) -> Any:
@@ -222,40 +224,3 @@ class SynchronousFutureExecutor(FutureExecutor):
             if was_fiber:
                 enter_fiber_thread()
         return future
-
-
-def find_futures(root: Any, _seen: Optional[Set[int]] = None) -> List[GozerFuture]:
-    """Collect every :class:`GozerFuture` reachable from ``root``.
-
-    Used by continuation capture to enforce the determination rule.
-    Walks lists, tuples, dicts, sets, Env chains and GVM frames.
-    """
-    from .environment import Env
-    from .frames import Frame, GozerFunction
-
-    seen = _seen if _seen is not None else set()
-    found: List[GozerFuture] = []
-    stack = [root]
-    while stack:
-        value = stack.pop()
-        if id(value) in seen:
-            continue
-        seen.add(id(value))
-        if isinstance(value, GozerFuture):
-            found.append(value)
-        elif isinstance(value, (list, tuple, set, frozenset)):
-            stack.extend(value)
-        elif isinstance(value, dict):
-            stack.extend(value.keys())
-            stack.extend(value.values())
-        elif isinstance(value, Env):
-            stack.extend(value.bindings.values())
-            if value.parent is not None:
-                stack.append(value.parent)
-        elif isinstance(value, GozerFunction):
-            if value.closure is not None:
-                stack.append(value.closure)
-        elif isinstance(value, Frame):
-            stack.extend(value.stack)
-            stack.append(value.env)
-    return found

@@ -25,6 +25,7 @@ from .futures import (
     ThreadPoolFutureExecutor,
     enter_fiber_thread,
 )
+from .registry import ProgramTable
 from .vm import VM, Done, Yielded
 
 _S = Symbol
@@ -77,13 +78,15 @@ class Runtime:
 
     def __init__(self, executor: Optional[FutureExecutor] = None,
                  readtable: Optional[ReadTable] = None,
-                 clock=None):
+                 clock=None, table: Optional[ProgramTable] = None):
         self.global_env = GlobalEnvironment()
         self.readtable = readtable.copy() if readtable else ReadTable()
         self.executor = executor if executor is not None else ThreadPoolFutureExecutor()
         #: the time source ``(get-universal-time)``/``(sleep n)`` use;
         #: real time by default, virtual under Vinz and in clock tests
         self.clock = clock if clock is not None else RuntimeClock()
+        #: what captures pickle through (None: a private table each)
+        self.table = table
         self.compiler = Compiler(self.global_env, apply_fn=self.apply)
         from ..lang import stdlib
 
@@ -114,6 +117,7 @@ class Runtime:
                 future_submitter=self._submit_future,
                 allow_yield=allow_yield)
         vm.clock = self.clock
+        vm.table = self.table
         return vm
 
     def eval_string(self, text: str) -> Any:

@@ -131,8 +131,8 @@ class VM:
         #: top-level run executed (set by Vinz to feed the per-fiber-run
         #: instruction histogram); a single None-check on the exit path
         self.profile_sink: Optional[Callable] = None
-        #: hook for Vinz: called with the VM before each yield capture
-        self.pre_yield_hook: Optional[Callable] = None
+        #: the runtime's ProgramTable (or None); set by Runtime.new_vm
+        self.table = None
         #: the runtime's time source (``(get-universal-time)``/``(sleep)``
         #: route through it); set by Runtime.new_vm, None for bare VMs
         self.clock = None
@@ -158,20 +158,24 @@ class VM:
     def resume(self, continuation: Continuation, value: Any = None):
         """Resume a captured continuation, delivering ``value``.
 
-        The continuation is not consumed: resuming it again replays from
-        the same point (``fork-and-exec``'s cloning relies on this).
+        The continuation is not consumed: every resume decodes its own
+        copy, so resuming it again replays from the same point (a
+        ``push-cc`` continuation is multi-shot).
         """
+        self.restore(continuation)
+        self.frames[-1].push(value)
+        return self._run_top(frame=None)
+
+    def restore(self, continuation: Continuation) -> None:
+        """Load a fresh copy of a continuation's state into this VM."""
         if self.frames:
             raise GozerRuntimeError("VM is already running")
-        frames, handlers, restarts, dynamics = materialize(continuation)
-        self.handlers = handlers
-        self.restarts = restarts
+        frames, self.handlers, self.restarts, dynamics = \
+            materialize(continuation)
         self.dynamics = DynamicBindings()
         for name, dyn_value in dynamics.items():
             self.dynamics.push(name, dyn_value)
-        frames[-1].push(value)
         self.frames = frames
-        return self._run_top(frame=None)
 
     def call(self, fn: Any, args: List[Any]) -> Any:
         """Call a function to completion (nested: yields are illegal)."""
@@ -637,10 +641,9 @@ class VM:
             raise YieldFromNestedContext(
                 "yield is only legal on the fiber's own thread at top level"
             )
-        if self.pre_yield_hook is not None:
-            self.pre_yield_hook(self)
         continuation = capture(self.frames, self.handlers, self.restarts,
-                               self.dynamics.snapshot(), label="yield")
+                               self.dynamics.snapshot(), label="yield",
+                               table=self.table)
         self.frames = []
         self.handlers = []
         self.restarts = []
@@ -652,7 +655,8 @@ class VM:
                 "push-cc is only legal on the fiber's own thread at top level"
             )
         continuation = capture(self.frames, self.handlers, self.restarts,
-                               self.dynamics.snapshot(), label="push-cc")
+                               self.dynamics.snapshot(), label="push-cc",
+                               table=self.table)
         frame.push(continuation)
 
     def _op_spawn_future(self, frame: Frame, code: CodeObject) -> None:

@@ -12,7 +12,8 @@ The split the paper measures maps onto two caches:
 
 * **mutable** — the fiber's continuation, re-versioned at every
   suspend; a hit requires this node to have run *that exact version*,
-  so random queue placement keeps the rate low;
+  so random queue placement keeps the rate low.  Continuations never
+  change, so a hit stays safe to resume after an aborted window;
 * **immutable** — per-task data that never changes after Start (the
   task's parameters/environment); a hit only requires this node to have
   seen *any* fiber of the task before, so the rate is much higher.

@@ -16,25 +16,33 @@ optimizations the paper reports:
 3. **A custom format for the most commonly serialized objects**: the
    dominant payload in a fiber snapshot is *program code* (CodeObjects)
    and interned symbols, which never change after load.  The custom
-   codec pickles them by reference into a shared
-   :class:`CodeRegistry` instead of by value, the way the paper's
-   custom format special-cases its hottest object types.
+   codec pickles them by reference into the runtime's
+   :class:`~repro.gvm.registry.ProgramTable` instead of by value, the
+   way the paper's custom format special-cases its hottest object
+   types.
 
 Serialized blobs are framed ``b"GZR1" + codec byte + payload`` so any
-node can decode a blob written with any codec.
+node can decode a blob written with any codec.  A continuation already
+*is* its custom-format pickle, so the custom codec frames it as is and
+loads it back without unpickling; the by-value codecs re-pickle it.
 """
 
 from __future__ import annotations
 
+import functools
 import gzip
-import io
-import pickle
 import struct
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bluebox.store import StoreError
-from ..lang.bytecode import CodeObject
+from ..gvm.continuations import Continuation, is_continuation_pickle
+from ..gvm.registry import (
+    DECODE_ERRORS,
+    CodeRegistry,
+    HostFunctionRegistry,
+    ProgramTable,
+)
 
 MAGIC = b"GZR1"
 
@@ -84,125 +92,13 @@ DEFLATE_LEVEL = 3
 GZIP_LEVEL = 9
 
 
-class CodeRegistry:
-    """Shared registry of immutable program objects.
-
-    Both serializing and deserializing nodes have the workflow program
-    loaded (Vinz deploys it everywhere, Section 3.1), so code objects
-    can travel as small reference tokens.  Registration is idempotent
-    and keyed by a stable id.
-    """
-
-    def __init__(self):
-        self._by_key: Dict[str, CodeObject] = {}
-        self._by_id: Dict[int, str] = {}
-        self._counter = 0
-
-    def register(self, code: CodeObject) -> str:
-        existing = self._by_id.get(id(code))
-        if existing is not None:
-            return existing
-        key = f"code:{self._counter}:{code.name}"
-        self._counter += 1
-        self._by_key[key] = code
-        self._by_id[id(code)] = key
-        return key
-
-    def register_tree(self, code: CodeObject) -> None:
-        """Register ``code`` and every code object it references."""
-        from ..lang.bytecode import nested_code_objects
-
-        for obj in nested_code_objects(code):
-            self.register(obj)
-
-    def lookup(self, key: str) -> CodeObject:
-        return self._by_key[key]
-
-    def key_for(self, code: CodeObject) -> Optional[str]:
-        return self._by_id.get(id(code))
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-
-class HostFunctionRegistry:
-    """Host (Python) functions referenced by serialized fibers.
-
-    A suspended fiber's operand stacks may hold references to builtins
-    and Vinz intrinsics (e.g. ``%parse-wsdl-response`` loaded before its
-    argument is evaluated).  Those are part of the *program*, present on
-    every node, so — like the paper's custom format for common objects —
-    they serialize as small name tokens rather than by value.
-    """
-
-    def __init__(self):
-        self._by_name: Dict[str, Any] = {}
-        self._by_id: Dict[int, str] = {}
-
-    def register(self, name: str, fn: Any) -> None:
-        self._by_name[name] = fn
-        self._by_id[id(fn)] = name
-
-    def key_for(self, fn: Any) -> Optional[str]:
-        return self._by_id.get(id(fn))
-
-    def lookup(self, name: str):
-        return self._by_name[name]
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-
-class _RegistryPickler(pickle.Pickler):
-    def __init__(self, file, registry: CodeRegistry,
-                 hosts: Optional[HostFunctionRegistry],
-                 ref_code: bool):
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._registry = registry
-        self._hosts = hosts
-        self._ref_code = ref_code
-
-    def persistent_id(self, obj):
-        if self._ref_code and isinstance(obj, CodeObject):
-            key = self._registry.key_for(obj)
-            if key is None:
-                # unseen code (e.g. built interactively): register so
-                # the reader side of *this* registry can resolve it.
-                key = self._registry.register(obj)
-            return ("code", key)
-        if self._hosts is not None and callable(obj) \
-                and not isinstance(obj, type):
-            from ..gvm.frames import GozerFunction
-
-            if not isinstance(obj, GozerFunction):
-                key = self._hosts.key_for(obj)
-                if key is not None:
-                    return ("host", key)
-        return None
-
-
-class _RegistryUnpickler(pickle.Unpickler):
-    def __init__(self, file, registry: CodeRegistry,
-                 hosts: Optional[HostFunctionRegistry]):
-        super().__init__(file)
-        self._registry = registry
-        self._hosts = hosts
-
-    def persistent_load(self, pid):
-        kind, key = pid
-        if kind == "code":
-            return self._registry.lookup(key)
-        if kind == "host":
-            return self._hosts.lookup(key)
-        raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-
-
 class FiberCodec:
     """Encodes/decodes fiber state blobs with a selectable codec.
 
     ``codec`` is one of ``"none" | "gzip" | "deflate" | "custom"``.
     ``custom`` implies the code-registry pickling *plus* raw deflate of
-    the (much smaller) remainder.
+    the (much smaller) remainder.  ``table`` resolves program references
+    through ``registry`` and ``hosts``.
     """
 
     NAMES = {
@@ -218,8 +114,7 @@ class FiberCodec:
         if codec not in self.NAMES:
             raise ValueError(f"unknown codec {codec!r}")
         self.codec = codec
-        self.registry = registry if registry is not None else CodeRegistry()
-        self.hosts = hosts if hosts is not None else HostFunctionRegistry()
+        self.table = ProgramTable(registry, hosts)
         # statistics
         self.encoded = 0
         self.decoded = 0
@@ -232,9 +127,13 @@ class FiberCodec:
     # -- encode ---------------------------------------------------------
 
     def dumps(self, state: Any) -> bytes:
-        # every codec pickles host functions by reference (they are
-        # program, not state); only `custom` also refs CodeObjects
-        raw = self._pickle(state, ref_code=(self.codec == "custom"))
+        if self.codec == "custom" and type(state) is Continuation \
+                and state.table is self.table:
+            raw = state.payload  # already this table's custom pickle
+        else:
+            # every codec pickles host functions by reference (they are
+            # program, not state); only `custom` also refs CodeObjects
+            raw = self.table.dumps(state, ref_code=(self.codec == "custom"))
         if self.codec == "none":
             payload = raw
         elif self.codec == "gzip":
@@ -277,8 +176,14 @@ class FiberCodec:
             raise DeserializationError(
                 f"fiber blob failed to decompress: {exc}",
                 fiber_id=fiber_id, codec=codec_name) from exc
-        state = self.deserialize_state(raw, fiber_id=fiber_id,
-                                       codec_name=codec_name)
+        if codec == CODEC_CUSTOM and is_continuation_pickle(raw):
+            # decoded when resumed; a damaged payload fails there, as
+            # the same typed error, before any instruction runs
+            state = Continuation(raw, self.table, functools.partial(
+                _decode_failure, fiber_id=fiber_id, codec_name=codec_name))
+        else:
+            state = self.deserialize_state(raw, fiber_id=fiber_id,
+                                           codec_name=codec_name)
         self.decoded += 1
         if self.metrics is not None and self.metrics.enabled:
             from ..observe.metrics import DEFAULT_SIZE_BUCKETS
@@ -295,30 +200,16 @@ class FiberCodec:
         failure into a typed :class:`DeserializationError` that names
         the fiber and format (never a swallowed ``UnpicklingError``)."""
         try:
-            return self._unpickle(raw)
-        except (pickle.UnpicklingError, EOFError, AttributeError, KeyError,
-                IndexError, MemoryError, TypeError, ValueError, ImportError,
-                OverflowError, struct.error) as exc:
-            raise DeserializationError(
-                f"fiber state failed to deserialize: "
-                f"{type(exc).__name__}: {exc}",
-                fiber_id=fiber_id, codec=codec_name) from exc
-
-    # -- helpers ----------------------------------------------------------
-
-    def _pickle(self, state: Any, ref_code: bool) -> bytes:
-        buffer = io.BytesIO()
-        _RegistryPickler(buffer, self.registry, self.hosts, ref_code).dump(state)
-        return buffer.getvalue()
-
-    def _unpickle(self, raw: bytes) -> Any:
-        return _RegistryUnpickler(io.BytesIO(raw), self.registry,
-                                  self.hosts).load()
+            return self.table.loads(raw)
+        except DECODE_ERRORS as exc:
+            raise _decode_failure(exc, fiber_id, codec_name) from exc
 
 
-class CrcFrameError(ValueError):
-    """A CRC frame failed its integrity check mid-stream (not at the
-    tail) — the storage is corrupt beyond a torn write."""
+def _decode_failure(exc: BaseException, fiber_id: Optional[str],
+                    codec_name: Optional[str]) -> DeserializationError:
+    return DeserializationError(
+        f"fiber state failed to deserialize: {type(exc).__name__}: {exc}",
+        fiber_id=fiber_id, codec=codec_name)
 
 
 #: CRC frame layout: magic + u32 payload length + u32 crc32(payload)

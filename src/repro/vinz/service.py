@@ -40,7 +40,6 @@ from ..bluebox.messagequeue import (
     ReplyTo,
 )
 from ..bluebox.services import (
-    Deferred,
     OperationContext,
     Requeue,
     Service,
@@ -153,15 +152,15 @@ class WorkflowService(Service):
     def on_deployed(self, cluster) -> None:
         if self.runtime is not None:
             return  # already loaded (idempotent deploys)
-        from ..gvm.futures import SynchronousFutureExecutor
-
         # the runtime clock is the cluster's virtual clock: a stdlib
         # (sleep n) outside a fiber advances simulated time, never the
         # host's, and (get-universal-time) reads virtual time
         self.runtime = Runtime(
             executor=self.vinz.future_executor_factory(),
             clock=VirtualClock(
-                now_fn=lambda: self.vinz.cluster.kernel.now))
+                now_fn=lambda: self.vinz.cluster.kernel.now),
+            # captures pickle through the codec's table, ready to frame
+            table=self.codec.table)
         # a scoped gensym counter makes compilation deterministic: the
         # same source always expands to the same gensym names, so
         # serialized fiber state is byte-identical across runs — the
@@ -171,18 +170,8 @@ class WorkflowService(Service):
             handlers.install(self.runtime, self)
             deflink_module.install(self.runtime, self)
             self.runtime.eval_string(self.source)
-        # register every loaded code object so the custom codec can
-        # serialize fibers by reference (paper's custom format), and
-        # every host function so any codec can pickle it by name
-        for name, value in list(self.runtime.global_env.variables.items()):
-            if isinstance(value, GozerFunction):
-                self.codec.registry.register_tree(value.code)
-            elif callable(value):
-                self.codec.hosts.register(name.name, value)
-        for macro in list(self.runtime.global_env.macros.values()):
-            fn = getattr(macro, "function", None)
-            if isinstance(fn, GozerFunction):
-                self.codec.registry.register_tree(fn.code)
+        # fiber state refers to loaded code and host functions by name
+        self.runtime.table.register_program(self.runtime.global_env)
 
     def declare_task_var(self, name: str, default: Any, doc: Optional[str]) -> None:
         self.task_var_defaults[name] = default

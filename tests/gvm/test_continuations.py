@@ -159,6 +159,32 @@ class TestPushCC:
         done2 = rt.resume(cont, K("injected"))
         assert done2 == Done([K("r"), K("injected")])
 
+    def test_push_cc_resumed_twice_is_independent(self, rt):
+        """A push-cc continuation is multi-shot: each resume decodes its
+        own copy, so state one resume mutates is invisible to the
+        next."""
+        result = rt.start("""
+            (let ((acc (list :start)))
+              (let ((k (push-cc)))
+                (append! acc k)
+                (list k acc)))""")
+        k = result.value[0]
+        assert isinstance(k, Continuation)
+        first = rt.resume(k, 1).value
+        second = rt.resume(k, 2).value
+        assert first == [1, [K("start"), 1]]
+        assert second == [2, [K("start"), 2]]
+
+    def test_capture_is_one_pickle(self, rt):
+        """The captured state is held as bytes; nothing is shared with
+        the fiber, and the frames view decodes a fresh copy."""
+        result = rt.start("(let ((xs (list 1 2))) (yield xs) xs)")
+        k = result.continuation
+        assert isinstance(k.payload, bytes)
+        assert k.estimated_size() == len(k.payload)
+        assert k.frames is not k.frames
+        assert k.frames[0].env is not k.frames[0].env
+
 
 class TestNestedContextRestrictions:
     def test_yield_from_future_rejected(self, rt):

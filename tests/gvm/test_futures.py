@@ -8,13 +8,12 @@ from repro.gvm.futures import (
     GozerFuture,
     SynchronousFutureExecutor,
     ThreadPoolFutureExecutor,
-    find_futures,
     force,
     is_fiber_thread,
 )
 from repro.lang.errors import GozerRuntimeError
 from repro.gvm.conditions import UnhandledConditionError
-from repro.lang.symbols import Keyword
+from repro.lang.symbols import Keyword, Symbol
 
 
 class TestGozerFuture:
@@ -152,29 +151,116 @@ class TestSynchronousExecutor:
             f.touch()
 
 
-class TestFindFutures:
-    def test_finds_in_nested_structures(self):
-        f1, f2 = GozerFuture("a"), GozerFuture("b")
-        f1._determine(1)
-        f2._determine(2)
-        root = {"x": [f1, {"y": (f2,)}]}
-        found = find_futures(root)
-        assert set(id(f) for f in found) == {id(f1), id(f2)}
+class _DetermineWhenPickled:
+    """Determines ``future`` as a pickle passes it, the way a future
+    finishing on another thread mid-capture would."""
 
-    def test_handles_cycles(self):
-        f = GozerFuture("a")
-        f._determine(None)
-        lst = [f]
-        lst.append(lst)  # cycle
-        assert len(find_futures(lst)) == 1
+    def __init__(self, future, acc):
+        self.future, self.acc = future, acc
 
-    def test_searches_environments(self):
+    def __reduce__(self):
+        if not self.future.determined:
+            self.acc.append(1)
+            self.future._determine(True)
+        return (list, ())
+
+
+class TestCaptureDeterminesFutures:
+    """Section 4.1: "the continuation doesn't become available until all
+    futures have completed" — capture pickles the state, and pickling a
+    future touches it, wherever in the state it sits."""
+
+    @staticmethod
+    def _capture(stack, env):
+        from repro.gvm.continuations import capture, materialize
+        from repro.gvm.frames import Frame
+        from repro.lang.bytecode import CodeObject
+
+        frame = Frame(CodeObject("probe"), env)
+        frame.stack.extend(stack)
+        frames, _handlers, _restarts, _dynamics = materialize(
+            capture([frame], [], [], {}))
+        return frames[0]
+
+    @pytest.mark.parametrize("place", ["list", "closure-env", "parent-env"])
+    def test_future_captured_determined(self, place):
         from repro.gvm.environment import Env
-        from repro.lang.symbols import Symbol
+        from repro.gvm.frames import GozerFunction
+        from repro.lang.bytecode import CodeObject
 
-        f = GozerFuture("x")
-        f._determine(0)
-        env = Env()
-        env.bind(Symbol("v"), f)
-        child = env.child()
-        assert len(find_futures(child)) == 1
+        release = threading.Event()
+        executor = ThreadPoolFutureExecutor(max_workers=1)
+        try:
+            future = executor.submit(lambda: release.wait(5) and 42)
+            assert not future.determined
+            threading.Timer(0.05, release.set).start()
+            name = Symbol("f")
+            if place == "list":
+                frame = self._capture([[1, [future]]], Env())
+                restored = frame.stack[0][1][0]
+            elif place == "closure-env":
+                closure = GozerFunction(CodeObject("inner"),
+                                        Env(bindings={name: future}))
+                frame = self._capture([closure], Env())
+                restored = frame.stack[0].closure.bindings[name]
+            else:
+                parent = Env(bindings={name: future})
+                frame = self._capture([], parent.child())
+                restored = frame.env.parent.bindings[name]
+            assert future.determined
+            assert isinstance(restored, GozerFuture)
+            assert restored is not future
+            assert restored.determined and restored.touch() == 42
+        finally:
+            executor.shutdown()
+
+    def test_errored_future_raises_from_capture(self):
+        from repro.gvm.environment import Env
+
+        future = GozerFuture("bad")
+        future._fail(ValueError("boom"))
+        with pytest.raises(ValueError, match="boom"):
+            self._capture([{"k": future}], Env())
+
+    def test_capture_sees_side_effects_of_pending_futures(self):
+        # acc is pickled before f is met; f then finishes and appends,
+        # and the continuation must show that (Section 4.1)
+        from repro.gvm.runtime import Runtime
+
+        with Runtime(executor=ThreadPoolFutureExecutor(max_workers=1)) as rt:
+            suspended = rt.start(
+                "(let* ((acc (list 0))"
+                "       (f (future (sleep 0.05) (append! acc 1))))"
+                "  (yield)"
+                "  acc)")
+            assert rt.resume(suspended.continuation).value == [0, 1]
+
+    def test_future_determined_during_capture_is_seen(self):
+        from repro.gvm.environment import Env
+
+        acc, future = [0], GozerFuture("late")
+        frame = self._capture(
+            [acc, _DetermineWhenPickled(future, acc), future], Env())
+        assert frame.stack[0] == [0, 1]
+        assert frame.stack[2].touch() is True
+
+    def test_decoded_futures_count_as_determined_before(self):
+        # encoding a continuation by value decodes it mid-pickle, which
+        # makes fresh futures; they must not look freshly determined
+        from repro.gvm.continuations import capture
+        from repro.gvm.environment import Env
+        from repro.gvm.frames import Frame
+        from repro.gvm.registry import ProgramTable
+        from repro.lang.bytecode import CodeObject
+
+        future = GozerFuture("done")
+        future._determine(7)
+        frame = Frame(CodeObject("probe"), Env())
+        frame.stack.append(future)
+        continuation = capture([frame], [], [], {})
+        encoded = []
+        worker = threading.Thread(target=lambda: encoded.append(
+            ProgramTable(by_identity=True).dumps(continuation)), daemon=True)
+        worker.start()
+        worker.join(10)
+        assert encoded, "by-value encode did not finish"
