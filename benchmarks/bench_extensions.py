@@ -89,9 +89,9 @@ def test_e2_adaptive_migration(benchmark, bench_report):
     rows = []
     for policy, env in results.items():
         rows.append((policy,
-                     env.cluster.counters.get("op.W.ResumeFromCall"),
-                     env.counters.get("persist.writes"),
-                     env.cluster.counters.get("sync.Mixed.Fast"),
+                     env.metrics.get("op.W.ResumeFromCall"),
+                     env.metrics.get("persist.writes"),
+                     env.metrics.get("sync.Mixed.Fast"),
                      round(env.cluster.kernel.now, 2)))
     bench_report("ext_adaptive_migration", series(
         "E2 — adaptive migration vs always-migrate "
@@ -104,10 +104,10 @@ def test_e2_adaptive_migration(benchmark, bench_report):
     prog = results["programmer"]
     adap = results["adaptive"]
     # adaptive eliminates most fast-call migrations and their persists
-    assert adap.counters.get("persist.writes") < \
-        prog.counters.get("persist.writes") / 2
+    assert adap.metrics.get("persist.writes") < \
+        prog.metrics.get("persist.writes") / 2
     # and still migrates the slow calls (fibers don't block 2s slots)
-    assert adap.cluster.counters.get("op.W.ResumeFromCall") >= 6
+    assert adap.metrics.get("op.W.ResumeFromCall") >= 6
 
 
 def test_e3_sibling_chaining(benchmark, bench_report):
@@ -133,8 +133,8 @@ def test_e3_sibling_chaining(benchmark, bench_report):
             stats[(strategy, limit)] = env
             rows.append((f"{strategy} / limit {limit}",
                          round(env.cluster.kernel.now, 2),
-                         env.cluster.counters.get("op.W.AwakeFiber"),
-                         env.counters.get("persist.writes"),
+                         env.metrics.get("op.W.AwakeFiber"),
+                         env.metrics.get("persist.writes"),
                          env.cluster.queue.delivered))
     bench_report("ext_sibling_chain", series(
         f"E3 — sibling chaining vs AwakeFiber-per-spawn "
@@ -148,8 +148,8 @@ def test_e3_sibling_chaining(benchmark, bench_report):
         awake_env = stats[("awake", limit)]
         chain_env = stats[("chain", limit)]
         # one parent wake-up instead of N
-        assert chain_env.cluster.counters.get("op.W.AwakeFiber") == 1
-        assert awake_env.cluster.counters.get("op.W.AwakeFiber") >= children
+        assert chain_env.metrics.get("op.W.AwakeFiber") == 1
+        assert awake_env.metrics.get("op.W.AwakeFiber") >= children
         # fewer messages and parent persists overall
         assert chain_env.cluster.queue.delivered < \
             awake_env.cluster.queue.delivered

@@ -88,7 +88,7 @@ def test_history_replay_campaign(benchmark, bench_report):
     violations = rec.single_runner_violations()
     assert stuck == [], f"stranded fibers: {stuck}"
     assert violations == [], f"single-runner violations: {violations}"
-    rebuilds = rec.env.counters.get("history.rebuilds")
+    rebuilds = rec.env.metrics.get("history.rebuilds")
     assert rebuilds > 0, "replay recovery never rebuilt a fiber"
     rec.replay_all()
 
@@ -102,9 +102,9 @@ def test_history_replay_campaign(benchmark, bench_report):
                               history="on", snapshot_interval=interval)
         assert report.all_completed and report.wrong_results() == []
         report.replay_all()
-        bytes_written = report.env.counters.get_sum("persist.bytes")
-        suspensions = (report.env.counters.get("persist.writes")
-                       + report.env.counters.get("persist.skipped"))
+        bytes_written = report.env.metrics.get("persist.bytes")
+        suspensions = (report.env.metrics.get("persist.writes")
+                       + report.env.metrics.get("persist.skipped"))
         return bytes_written, suspensions, report
 
     every_bytes, every_susp, _ = persisted_per_suspension(1)
@@ -139,8 +139,8 @@ def test_history_replay_campaign(benchmark, bench_report):
             "bytes_per_suspension_sparse": round(per_sparse, 1),
             "ratio": round(ratio, 2),
             "persists_skipped":
-                sparse.env.counters.get("persist.skipped"),
-            "rebuilds": sparse.env.counters.get("history.rebuilds"),
+                sparse.env.metrics.get("persist.skipped"),
+            "rebuilds": sparse.env.metrics.get("history.rebuilds"),
         },
     }
     os.makedirs(OUT_DIR, exist_ok=True)

@@ -65,7 +65,7 @@ def run_batch(sync: bool) -> dict:
     return {
         "makespan": env.cluster.kernel.now,
         "peak_in_service": env.backend_peak,
-        "persists": env.counters.get("persist.writes"),
+        "persists": env.metrics.get("persist.writes"),
     }
 
 
@@ -106,7 +106,7 @@ def test_failure_during_service_call(bench_report):
     for i in range(6):
         env.cluster.send("Caller", "Start", {"params": i})
     env.cluster.run_until(
-        lambda: env.counters.get("persist.writes") >= 3)
+        lambda: env.metrics.get("persist.writes") >= 3)
     env.fail_node("node-1")
     env.cluster.run_until_idle()
     counts = env.registry.counts()

@@ -39,9 +39,9 @@ def run_with_limit(limit: int, seed: int = 3):
     env.run("Fan", list(range(CHILDREN)))
     return {
         "makespan": env.cluster.kernel.now,
-        "lock_waits": env.counters.get("awake.lock-wait"),
+        "lock_waits": env.metrics.get("awake.lock-wait"),
         "requeues": env.cluster.queue.redelivered,
-        "awakes": env.cluster.counters.get("op.Fan.AwakeFiber"),
+        "awakes": env.metrics.get("op.Fan.AwakeFiber"),
     }
 
 
@@ -97,7 +97,7 @@ def test_awake_burst_blocks_unrelated_work(bench_report):
 
     # when children start completing, probe the unrelated service
     env.cluster.run_until(
-        lambda: env.cluster.counters.get("op.Fan.AwakeFiber") >= 1)
+        lambda: env.metrics.get("op.Fan.AwakeFiber") >= 1)
     latencies = []
 
     def probe():

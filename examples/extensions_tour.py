@@ -41,7 +41,7 @@ def run(name: str, **env_kwargs) -> dict:
         "positions": report["positions"],
         "virtual_s": round(env.cluster.kernel.now, 2),
         "messages": env.cluster.queue.delivered,
-        "awake_fibers": env.cluster.counters.get("op.Portfolio.AwakeFiber"),
+        "awake_fibers": env.metrics.get("op.Portfolio.AwakeFiber"),
         "store_reads": env.store.reads,
         "mutable_hit": round(env.cache_hit_rates()["mutable"], 2),
     }

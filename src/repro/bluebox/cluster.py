@@ -40,7 +40,6 @@ from .messagequeue import (
     _trace_ids,
 )
 from .monitoring import (
-    Counters,
     DEADLETTER_ENQUEUED,
     OPERATION_FAULT,
     RETRY_SCHEDULED,
@@ -130,11 +129,15 @@ class Cluster:
                  scheduler: Any = None,
                  admission: Any = None):
         self.kernel = SimKernel()
+        #: the one metrics registry (repro.observe), always on; every
+        #: component the cluster or Vinz builds is handed this one
+        self.metrics = MetricsRegistry()
         #: message ordering is the scheduling policy's job
         #: (repro.sched.fair): None/"strict" reproduces the paper's
         #: strict priority heap; "fair" is deficit round-robin across
         #: workflows with priority aging
-        self.queue = MessageQueue(policy=make_policy(scheduler))
+        self.queue = MessageQueue(policy=make_policy(scheduler),
+                                  metrics=self.metrics)
         #: optional admission control (repro.sched.admission): depth/
         #: in-flight watermarks that delay or shed work at the front
         #: door.  None (the default) accepts everything, as the paper's
@@ -144,9 +147,7 @@ class Cluster:
         #: set explicitly.  Hot paths guard on the single ``enabled``
         #: flag, so a disabled tracer allocates nothing.
         self.tracer = SpanTracer(enabled=trace if spans is None else spans)
-        self.metrics = MetricsRegistry(enabled=self.tracer.enabled)
         self.queue.tracer = self.tracer
-        self.queue.metrics = self.metrics
         self.queue.now_fn = lambda: self.kernel.now
         self.rng = random.Random(seed)
         self.delivery_latency = delivery_latency
@@ -178,7 +179,9 @@ class Cluster:
         self.nodes: Dict[str, Node] = {}
         self.services: Dict[str, Service] = {}
         self.trace = TraceLog(enabled=trace)
-        self.counters = Counters()
+        #: per-operation durations: the spawn governor's latency signal
+        self._op_duration = self.metrics.histogram("op.duration")
+        self._lease_renewed = self.metrics.counter("lease.renewed")
         self._in_flight: List[_InFlight] = []
         self._node_seq = itertools.count(1)
 
@@ -300,17 +303,14 @@ class Cluster:
 
     def _record_admission(self, message: Message, verdict: str,
                           backlog: int, delay: float) -> None:
-        self.counters.incr(f"admission.{verdict}")
         self.trace.record(self.kernel.now, f"admission-{verdict}",
                           service=message.service,
                           operation=message.operation, msg=message.id,
                           backlog=backlog, delay=delay)
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "sched.admission.shed" if verdict == ADMIT_SHED
-                else "sched.admission.delayed").inc()
-            self.metrics.gauge(
-                f"sched.backlog.{message.service}").set(backlog)
+        self.metrics.counter(
+            "sched.admission.shed" if verdict == ADMIT_SHED
+            else "sched.admission.delayed").inc()
+        self.metrics.gauge(f"sched.backlog.{message.service}").set(backlog)
         if self.tracer.enabled:
             span = self.tracer.begin(
                 f"sched:{verdict}:{message.service}", kind="sched",
@@ -368,7 +368,7 @@ class Cluster:
         message = self.queue.make_message(service_name, operation, body,
                                           now=self.kernel.now)
         context = OperationContext(self, instance, message)
-        self.counters.incr(f"sync.{service_name}.{operation}")
+        self.metrics.counter(f"sync.{service_name}.{operation}").inc()
         try:
             value = service.handle(context, operation, body)
             envelope = ResponseEnvelope(value=value)
@@ -439,9 +439,9 @@ class Cluster:
                     self.queue.push_back(message)
         if message.affinity is not None:
             if instance.node.id == message.affinity:
-                self.counters.incr("placement.affinity-hit")
+                self.metrics.counter("placement.affinity-hit").inc()
             else:
-                self.counters.incr("placement.affinity-miss")
+                self.metrics.counter("placement.affinity-miss").inc()
         self._process(instance, message, hop_span=hop_span)
         return True
 
@@ -580,7 +580,7 @@ class Cluster:
             if not record.valid or not record.instance.node.alive:
                 return  # dead window / dead node: the lease must lapse
             if lm.renew_owner(owner):
-                self.counters.incr("lease.renewed")
+                self._lease_renewed.inc()
             if self.kernel.now + interval < deadline:
                 self.kernel.schedule(interval, beat)
 
@@ -594,7 +594,7 @@ class Cluster:
         """
         for record in list(self._in_flight):
             if record.valid and self._window_owner(record) == owner:
-                self.counters.incr("lease.window-broken")
+                self.metrics.counter("lease.window-broken").inc()
                 self.trace.record(self.kernel.now, "lease-broken",
                                   key=key, owner=owner, reason=reason,
                                   msg=record.message.id)
@@ -618,7 +618,7 @@ class Cluster:
             if fence is not None \
                     and not self.lock_manager.fence_valid(*fence):
                 self.lock_manager.fence_rejections += 1
-                self.counters.incr("lease.fence-rejected")
+                self.metrics.counter("lease.fence-rejected").inc()
                 self._abort_window(record, "fencing token superseded")
                 return
         if self.durable_store is not None and record.batch is not None:
@@ -638,11 +638,9 @@ class Cluster:
         node.processed += 1
         node.busy_time += duration
         record.instance.processed += 1
-        self.counters.incr(f"op.{record.message.service}.{record.message.operation}")
-        self.counters.add("busy_time", duration)
-        if self.metrics.enabled:
-            # the spawn governor's operation-latency signal
-            self.metrics.histogram("op.duration").observe(duration)
+        self.metrics.counter(
+            f"op.{record.message.service}.{record.message.operation}").inc()
+        self._op_duration.observe(duration)
         message = record.message
         if record.context is not None:
             for hook in record.context.completion_hooks:
@@ -730,7 +728,7 @@ class Cluster:
                           operation=record.message.operation,
                           msg=record.message.id, node=node.id,
                           reason=reason)
-        self.counters.incr("operation.faults")
+        self.metrics.counter("operation.faults").inc()
         self._retry_or_dead_letter(record.message, reason)
         self._kick_node(node)
 
@@ -756,7 +754,7 @@ class Cluster:
                           operation=message.operation,
                           attempt=message.attempts, delay=delay,
                           reason=reason)
-        self.counters.incr("retry.scheduled")
+        self.metrics.counter("retry.scheduled").inc()
         self.kernel.schedule(
             delay, lambda m=message: (self.queue.push_back(m),
                                       self._kick(m.service)))
@@ -772,7 +770,7 @@ class Cluster:
                           msg=message.id, service=message.service,
                           operation=message.operation,
                           attempts=message.attempts, reason=reason)
-        self.counters.incr("deadletter.enqueued")
+        self.metrics.counter("deadletter.enqueued").inc()
         if message.reply_to is not None:
             self._route_reply(message.reply_to, ResponseEnvelope(
                 fault_qname="{urn:bluebox}DeadLettered",

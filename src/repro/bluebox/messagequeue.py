@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..observe.metrics import MetricsRegistry
 from ..sched.fair import SchedulingPolicy, StrictPriorityPolicy
 
 # Priorities: lower value = delivered first.  The paper (Section 5)
@@ -110,19 +111,22 @@ class MessageQueue:
     to the scheduling ``policy``.
     """
 
-    def __init__(self, policy: Optional[SchedulingPolicy] = None):
+    def __init__(self, policy: Optional[SchedulingPolicy] = None,
+                 metrics: Optional[MetricsRegistry] = None):
         self.policy: SchedulingPolicy = policy or StrictPriorityPolicy()
         self._seq = itertools.count()
         self._ids = itertools.count(1)
         #: messages whose retry policy is exhausted, kept for
         #: inspection and operator replay (never silently discarded)
         self.dead_letters: List[Message] = []
-        #: observability wiring (set by the owning Cluster): the causal
-        #: span tracer, the metrics registry, and a virtual-clock read.
-        #: The queue owns the queue-hop span lifecycle: a hop opens at
-        #: enqueue/push-back and closes at delivery.
+        #: every delivery's queue wait, in the owning cluster's registry
+        self._wait_hist = (metrics or MetricsRegistry()).histogram(
+            "queue.wait")
+        #: tracing wiring (set by the owning Cluster): the causal span
+        #: tracer and a virtual-clock read.  The queue owns the
+        #: queue-hop span lifecycle: a hop opens at enqueue/push-back
+        #: and closes at delivery.
         self.tracer = None
-        self.metrics = None
         self.now_fn: Optional[Callable[[], float]] = None
         # statistics
         self.enqueued = 0
@@ -254,8 +258,7 @@ class MessageQueue:
         self.delivered += 1
         wait = now - message.enqueued_at
         self._record_wait(wait)
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.histogram("queue.wait").observe(wait)
+        self._wait_hist.observe(wait)
         if self.tracer is not None and self.tracer.enabled \
                 and message.span_id:
             self.tracer.end(message.span_id, end=now, wait=wait)

@@ -1,15 +1,15 @@
-"""Monitoring: trace events and metrics.
+"""Monitoring: the trace event log.
 
 "The underlying BlueBox platform provides monitoring and management
 features" (paper Section 1).  The trace log is also how we regenerate
 the paper's Figure 1 (sample workflow lifetime): every queue, instance,
 fiber and persistence event is recorded with its virtual timestamp, and
-the Figure-1 bench renders the sequence for one task.
+the Figure-1 bench renders the sequence for one task.  Metrics live
+in :mod:`repro.observe.metrics`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -123,77 +123,3 @@ class TraceLog:
         """Human-readable lifetime rendering (the Figure 1 format)."""
         return "\n".join(repr(e) for e in (events if events is not None
                                            else self.events))
-
-
-class Counters:
-    """Named monotonically increasing counters and simple gauges.
-
-    Mutation is lock-guarded: the read-modify-write on the plain dicts
-    races in real-threaded cluster mode, and fault-campaign summary
-    counters must be exact, not approximately right.
-    """
-
-    def __init__(self):
-        self.counts: Dict[str, int] = {}
-        self.sums: Dict[str, float] = {}
-        self._lock = threading.Lock()
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self.counts[name] = self.counts.get(name, 0) + amount
-
-    def add(self, name: str, amount: float) -> None:
-        with self._lock:
-            self.sums[name] = self.sums.get(name, 0.0) + amount
-
-    def get(self, name: str) -> int:
-        return self.counts.get(name, 0)
-
-    def get_sum(self, name: str) -> float:
-        return self.sums.get(name, 0.0)
-
-    def mean(self, sum_name: str, count_name: str) -> float:
-        n = self.counts.get(count_name, 0)
-        return self.sums.get(sum_name, 0.0) / n if n else 0.0
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"counts": dict(self.counts), "sums": dict(self.sums)}
-
-
-class ConcurrencySampler:
-    """Tracks a time-weighted concurrency profile.
-
-    Used by the production-day bench (S5a) to report how many tasks and
-    fibers were simultaneously in flight.  The mean is taken over the
-    elapsed time since the *first sample*, not since absolute t=0 —
-    a clock that doesn't start at zero (``VirtualClock(start=...)``,
-    real-clock mode) must not dilute the average.
-    """
-
-    def __init__(self):
-        self._level = 0
-        self._start: Optional[float] = None
-        self._last_time = 0.0
-        self._area = 0.0
-        self.peak = 0
-
-    def change(self, now: float, delta: int) -> None:
-        if self._start is None:
-            self._start = now
-            self._last_time = now
-        self._area += self._level * (now - self._last_time)
-        self._last_time = now
-        self._level += delta
-        self.peak = max(self.peak, self._level)
-
-    @property
-    def level(self) -> int:
-        return self._level
-
-    def mean_until(self, now: float) -> float:
-        if self._start is None:
-            return 0.0
-        area = self._area + self._level * (now - self._last_time)
-        elapsed = now - self._start
-        return area / elapsed if elapsed > 0 else 0.0

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..observe.metrics import MetricsRegistry
 from .grammar import (DIST, SUSPEND, TREE_UNSUPPORTED, VINZ_UNSUPPORTED,
                       GenProgram)
 from .oracles import (ENGINE_ERROR, Outcome, run_tree, run_vinz, run_vm,
@@ -73,7 +74,7 @@ class DifferentialExecutor:
                  metrics=None, max_resumes: int = 64):
         self.vinz_every = max(1, vinz_every)
         self.chaos = chaos
-        self.metrics = metrics
+        self.metrics = metrics or MetricsRegistry()
         self.max_resumes = max_resumes
 
     # -- classification ------------------------------------------------
@@ -139,5 +140,4 @@ class DifferentialExecutor:
         return verdict
 
     def _count(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
+        self.metrics.counter(name).inc(amount)

@@ -117,7 +117,7 @@ def run_fuzz(seed: int, budget: int, vinz_every: int = 10,
              shrink_checks: int = 400,
              progress=None) -> FuzzReport:
     """Run the full conformance campaign; see module docstring."""
-    metrics = metrics if metrics is not None else MetricsRegistry()
+    metrics = metrics or MetricsRegistry()
     generator = ProgramGenerator(seed)
     executor = DifferentialExecutor(vinz_every=vinz_every, chaos=chaos,
                                     metrics=metrics)

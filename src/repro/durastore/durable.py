@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..bluebox.store import StoreError
+from ..observe.metrics import MetricsRegistry
 from .backend import StoreBackend
 from .journal import (
     OP_DELETE,
@@ -84,10 +85,12 @@ class DurableStore(ShardedStore):
         self.shared_flushes = 0
         self.recoveries = 0
         self.checkpoint_seconds = 0.0
-        #: optional observability wiring (set by VinzEnvironment):
-        #: recovery emits spans/metrics when these are attached
+        #: observability wiring: recovery counts into ``metrics`` and
+        #: emits a span when a tracer is attached.  The store is built
+        #: before the cluster that owns the shared registry, so
+        #: VinzEnvironment swaps that registry in
         self.tracer = None
-        self.metrics = None
+        self.metrics = MetricsRegistry()
         self.now_fn = None
 
     # the injector consults both store IO and journal appends; mirror
@@ -270,8 +273,8 @@ class DurableStore(ShardedStore):
         """Rebuild backend state from the journal: exactly the
         committed batches, never a torn tail.
 
-        Emits a ``recovery``-kind span and ``store.recovery.*`` metrics
-        when a tracer/metrics registry is attached.  Returns a report::
+        Counts ``store.recovery.*`` metrics and, when a tracer is
+        attached, emits a ``recovery``-kind span.  Returns a report::
 
             {"recovered_keys", "deleted_keys", "checkpoint_keys",
              "batches", "records", "tail_error", "tail_bytes_dropped",
@@ -315,13 +318,11 @@ class DurableStore(ShardedStore):
                                      bytes_dropped=replay["tail_bytes_dropped"])
             self.tracer.end(span_id, now + cost, **{
                 k: v for k, v in report.items() if k != "replay_cost_s"})
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.counter("store.recovery.runs").inc()
-            self.metrics.counter("store.recovery.keys").inc(recovered)
-            self.metrics.counter("store.recovery.batches").inc(
-                replay["batches"])
-            if replay["tail_error"]:
-                self.metrics.counter("store.recovery.torn_tails").inc()
+        self.metrics.counter("store.recovery.runs").inc()
+        self.metrics.counter("store.recovery.keys").inc(recovered)
+        self.metrics.counter("store.recovery.batches").inc(replay["batches"])
+        if replay["tail_error"]:
+            self.metrics.counter("store.recovery.torn_tails").inc()
         return report
 
     # ------------------------------------------------------------------

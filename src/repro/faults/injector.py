@@ -120,8 +120,8 @@ class FaultInjector:
             cluster = self.env.cluster
             cluster.trace.record(cluster.kernel.now, "fault.injected",
                                  action=action, **detail)
-            cluster.counters.incr("fault.injected")
-            cluster.counters.incr(f"fault.injected.{action}")
+            cluster.metrics.counter("fault.injected").inc()
+            cluster.metrics.counter(f"fault.injected.{action}").inc()
             if span and cluster.tracer.enabled:
                 # faults become annotations on the span they hit, so a
                 # rendered task tree shows exactly where chaos struck

@@ -18,9 +18,10 @@ rebuild a fiber from half its life and diverge — or worse, not diverge.
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from ..bluebox.store import StoreError
+from ..observe.metrics import MetricsRegistry
 from ..vinz.persistence import crc_frame, parse_crc_frames
 from .recorder import SCHEMA_VERSION, HistoryEvent
 
@@ -61,17 +62,17 @@ class HistoryLog:
     #: retry it, so the append must absorb transient faults itself)
     WRITE_ATTEMPTS = 3
 
-    def __init__(self, store, metrics=None):
+    def __init__(self, store, metrics: Optional[MetricsRegistry] = None):
         self.store = store
-        self.metrics = metrics
+        metrics = metrics or MetricsRegistry()
+        self._batches = metrics.counter("history.batches")
+        self._bytes = metrics.counter("history.bytes")
+        self._retries = metrics.counter("history.write_retries")
         #: optional FaultInjector (set by ``FaultInjector.install``):
         #: consulted before every batch write for HistoryFault damage
         self.injector = None
         #: next batch index per task
         self._next_batch: Dict[str, int] = {}
-        self.batches_written = 0
-        self.bytes_written = 0
-        self.write_retries = 0
 
     @staticmethod
     def _key(task_id: str, index: int) -> str:
@@ -111,16 +112,11 @@ class HistoryLog:
                 self.store.write(key, blob)
                 break
             except StoreError:
-                self.write_retries += 1
-                if self.metrics is not None and self.metrics.enabled:
-                    self.metrics.counter("history.write_retries").inc()
+                self._retries.inc()
                 if attempt == self.WRITE_ATTEMPTS - 1:
                     raise
-        self.batches_written += 1
-        self.bytes_written += len(blob)
-        if self.metrics is not None and self.metrics.enabled:
-            self.metrics.counter("history.batches").inc()
-            self.metrics.counter("history.bytes").inc(len(blob))
+        self._batches.inc()
+        self._bytes.inc(len(blob))
 
     # -- read side ------------------------------------------------------
 
@@ -174,7 +170,7 @@ class HistoryLog:
 
     def summary(self) -> Dict[str, Any]:
         return {
-            "batches_written": self.batches_written,
-            "log_bytes": self.bytes_written,
-            "write_retries": self.write_retries,
+            "batches_written": self._batches.value,
+            "log_bytes": self._bytes.value,
+            "write_retries": self._retries.value,
         }

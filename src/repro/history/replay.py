@@ -492,7 +492,7 @@ class ReplayEngine:
         ``(continuation, instructions_executed)``."""
         recorder = self.env.history
         events = recorder.events_of(fiber.task_id)
-        metrics = self.env.cluster.metrics
+        metrics = self.env.metrics
         tracer = self.env.cluster.tracer
         span = 0
         if tracer.enabled:
@@ -511,9 +511,8 @@ class ReplayEngine:
             raise ReplayError(
                 f"rebuild of {fiber.id} reached {kind} before version "
                 f"{target_version}")
-        if metrics.enabled:
-            metrics.counter("history.rebuilds").inc()
-            metrics.counter("history.rebuild_instructions").inc(instructions)
+        metrics.counter("history.rebuilds").inc()
+        metrics.counter("history.rebuild_instructions").inc(instructions)
         return value, instructions
 
     # -- verification: replay a whole task -------------------------------
@@ -540,7 +539,7 @@ class ReplayEngine:
             if event.fiber and event.fiber not in seen:
                 seen.add(event.fiber)
                 fiber_ids.append(event.fiber)
-        metrics = self.env.cluster.metrics
+        metrics = self.env.metrics
         tracer = self.env.cluster.tracer
         span = 0
         if tracer.enabled:
@@ -554,12 +553,10 @@ class ReplayEngine:
                                   report=report)
                 report.fibers_replayed += 1
         except ReplayDivergenceError:
-            if metrics.enabled:
-                metrics.counter("history.divergences").inc()
+            metrics.counter("history.divergences").inc()
             raise
         finally:
             if span:
                 tracer.end(span, end=self.env.cluster.kernel.now)
-            if metrics.enabled:
-                metrics.counter("history.replays").inc()
+            metrics.counter("history.replays").inc()
         return report

@@ -14,12 +14,15 @@ that layer for the reproduction:
   redeliveries.
 * :mod:`repro.observe.metrics` — a :class:`MetricsRegistry` of
   counters, gauges and fixed-bucket histograms with p50/p95/p99
-  snapshots (queue wait, fiber resume latency, blob sizes, ...).
+  snapshots (queue wait, fiber resume latency, blob sizes, ...).  It is
+  the one metrics store: one per cluster, always on, handed to each
+  component when it is constructed.
 * :mod:`repro.observe.export` — Chrome ``trace_event`` JSON (loadable
   in Perfetto / ``chrome://tracing``) and a plain-JSON report.
 
 Tracing is zero-cost when disabled: every hot-path call site guards on
 the tracer's single ``enabled`` flag before allocating anything.
+Metrics have no such switch.
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry

@@ -111,8 +111,9 @@ def span_tree_from_events(events: List[Dict[str, Any]]) -> Dict[int, int]:
 
 def json_report(env) -> Dict[str, Any]:
     """The plain-JSON observability report for a VinzEnvironment:
-    metrics snapshot (with percentiles), span summary, trace-log health
-    and cache hit rates — everything the harness needs to publish."""
+    metrics snapshot (every counter, gauge and histogram, with
+    percentiles), span summary, trace-log health and cache hit rates —
+    everything the harness needs to publish."""
     cluster = env.cluster
     return {
         "virtual_time": cluster.kernel.now,
@@ -120,7 +121,6 @@ def json_report(env) -> Dict[str, Any]:
         "spans": cluster.tracer.summary(),
         "trace_log": cluster.trace.snapshot(),
         "cache_hit_rates": env.cache_hit_rates(),
-        "counters": env.counters.snapshot(),
         "store": env.store.stats_snapshot(),
         "history": (env.history.summary()
                     if getattr(env, "history", None) is not None else None),

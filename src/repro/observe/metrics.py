@@ -1,14 +1,21 @@
 """The metrics registry: counters, gauges, fixed-bucket histograms.
 
-The platform observes a standard set on every run (cheap enough to
-leave always-on; ``enabled=False`` turns the whole registry into
-no-ops for pure-speed benchmarks):
+This is the reproduction's one metrics store.  Each
+:class:`~repro.bluebox.cluster.Cluster` owns one registry, always on;
+the cluster and ``VinzEnvironment`` hand it to each component they
+build (queue, codec, recovery scanner, history log, governor).  A
+component built without one makes a private registry, so it never
+needs a guard.  Among the names the platform records on every run:
 
-* ``queue.wait`` — seconds a message spent queued before delivery;
-* ``fiber.resume_latency`` — queue wait of the message that resumed a
-  suspended fiber (the migration cost the paper's cache exists to cut);
-* ``persist.blob_bytes`` / ``codec.*_bytes`` — fiber snapshot sizes;
-* ``gvm.run_instructions`` — GVM instructions per fiber run.
+* counters ``op.<service>.<operation>``, ``persist.writes``,
+  ``persist.bytes``, ``cache.<kind>.hit``/``miss``,
+  ``recovery.locks_expired``, ``recovery.reawakened``,
+  ``history.rebuilds``, ``fault.injected``, ``sched.*``, ...;
+* gauges ``tasks.in_flight`` and ``fibers.in_flight`` (with ``peak``
+  and a time-weighted ``mean_until``), ``sched.spawn_limit``;
+* histograms ``queue.wait``, ``op.duration``,
+  ``fiber.resume_latency``, ``codec.encode_bytes``/``decode_bytes``,
+  ``gvm.run_instructions``, ``recovery.latency``.
 
 Histograms are fixed-bucket: ``observe`` is a bisect plus two adds, and
 ``p50/p95/p99`` come from linear interpolation inside the covering
@@ -16,8 +23,8 @@ bucket — no per-sample storage, so a million-message run costs a few
 hundred bytes per histogram.
 
 All mutation is lock-guarded, so counters stay exact when the cluster
-runs in real-threaded mode (see also
-:class:`repro.bluebox.monitoring.Counters`).
+runs in real-threaded mode.  Hot paths look an instrument up once, at
+construction, and keep it.
 """
 
 from __future__ import annotations
@@ -60,22 +67,47 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (last write wins)."""
+    """A level.  ``set`` overwrites it; ``add(delta, now)`` moves it and
+    integrates it over time, so a gauge is also a concurrency profile:
+    ``peak`` is the highest level ``add`` reached, and
+    :meth:`mean_until` is the time-weighted mean level since the first
+    ``add`` — not since absolute t=0, so a clock that does not start at
+    zero (``VirtualClock(start=...)``, real-clock mode) does not dilute
+    it.
+    """
 
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "value", "peak", "_start", "_last", "_area",
+                 "_lock")
 
     def __init__(self, name: str, lock: threading.Lock):
         self.name = name
-        self.value: float = 0.0
+        self.value: float = 0
+        self.peak: float = 0
+        self._start: Optional[float] = None
+        self._last = 0.0
+        self._area = 0.0
         self._lock = lock
 
     def set(self, value: float) -> None:
         with self._lock:
             self.value = value
 
-    def add(self, delta: float) -> None:
+    def add(self, delta: float, now: float) -> None:
         with self._lock:
+            if self._start is None:
+                self._start = self._last = now
+            self._area += self.value * (now - self._last)
+            self._last = now
             self.value += delta
+            if self.value > self.peak:
+                self.peak = self.value
+
+    def mean_until(self, now: float) -> float:
+        if self._start is None:
+            return 0.0
+        area = self._area + self.value * (now - self._last)
+        elapsed = now - self._start
+        return area / elapsed if elapsed > 0 else 0.0
 
 
 class Histogram:
@@ -144,6 +176,11 @@ class Histogram:
                 return estimate
         return self.max if self.max is not None else 0.0  # pragma: no cover
 
+    def get(self, name: str) -> int:
+        """The value of counter ``name``; 0 if it was never created."""
+        counter = self._counters.get(name)
+        return counter.value if counter is not None else 0
+
     def snapshot(self) -> Dict[str, Any]:
         return {
             "count": self.count,
@@ -157,44 +194,16 @@ class Histogram:
         }
 
 
-class _Noop:
-    """Shared do-nothing instrument for a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NOOP = _Noop()
-
-
 class MetricsRegistry:
-    """Named instruments, created on first use.
+    """Named instruments, created on first use."""
 
-    One registry per cluster; a disabled registry hands out a shared
-    no-op instrument so call sites need no guards of their own.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
         counter = self._counters.get(name)
         if counter is None:
             with self._lock:
@@ -203,8 +212,6 @@ class MetricsRegistry:
         return counter
 
     def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
         gauge = self._gauges.get(name)
         if gauge is None:
             with self._lock:
@@ -215,8 +222,6 @@ class MetricsRegistry:
                   buckets: Optional[Sequence[float]] = None) -> Histogram:
         """Get/create a histogram; ``buckets`` applies on first creation
         (later callers inherit them)."""
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
         histogram = self._histograms.get(name)
         if histogram is None:
             bounds = buckets if buckets is not None else DEFAULT_TIME_BUCKETS
@@ -224,6 +229,11 @@ class MetricsRegistry:
                 histogram = self._histograms.setdefault(
                     name, Histogram(name, bounds, self._lock))
         return histogram
+
+    def get(self, name: str) -> int:
+        """The value of counter ``name``; 0 if it was never created."""
+        counter = self._counters.get(name)
+        return counter.value if counter is not None else 0
 
     def snapshot(self) -> Dict[str, Any]:
         """A plain-data dump of every instrument (the JSON report)."""

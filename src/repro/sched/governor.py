@@ -9,11 +9,11 @@ additive-increase / multiplicative-decrease driven by live signals:
 
 * **queue pressure** — total backlog per alive slot, and the mean
   ``queue.wait`` over the last control interval (streamed by the
-  queue, so the signal works with metrics off);
+  queue);
 * **operation latency** — the mean operation duration over the last
-  interval against a slow EWMA baseline; a sustained rise (an injected
-  slow-down, a hot store) reads as congestion even before the queue
-  visibly backs up.
+  interval (from the ``op.duration`` histogram) against a slow EWMA
+  baseline; a sustained rise (an injected slow-down, a hot store)
+  reads as congestion even before the queue visibly backs up.
 
 While both are calm the limit creeps up by ``increase`` per interval;
 any congestion signal halves it (``decrease``).  Workflows opt in per
@@ -85,19 +85,22 @@ class SpawnGovernor:
         self.config = config or GovernorConfig()
         self.limit = self.config.initial
         self._last_decision = cluster.kernel.now
+        metrics = cluster.metrics
+        self._op_duration = metrics.histogram("op.duration")
+        self._limit_gauge = metrics.gauge("sched.spawn_limit")
+        self._increases = metrics.counter("sched.governor.increase")
+        self._decreases = metrics.counter("sched.governor.decrease")
         # interval snapshots of the cumulative signal counters
         self._wait_count, self._wait_total = self._wait_totals()
         self._op_count, self._op_total = self._op_totals()
         self._latency_baseline: Optional[float] = None
         # bookkeeping for tests / reports
-        self.increases = 0
-        self.decreases = 0
         self.decisions = 0
         #: (virtual time, limit) after every change — the convergence
         #: trace the chaos campaign asserts over
         self.history: List[Tuple[float, int]] = [(self._last_decision,
                                                   self.limit)]
-        self._publish_gauge()
+        self._limit_gauge.set(self.limit)
 
     # -- signal taps ---------------------------------------------------------
 
@@ -106,9 +109,7 @@ class SpawnGovernor:
         return queue.wait_count(), queue.wait_sum()
 
     def _op_totals(self) -> Tuple[int, float]:
-        counters = self.cluster.counters
-        processed = sum(n.processed for n in self.cluster.nodes.values())
-        return processed, counters.get_sum("busy_time")
+        return self._op_duration.count, self._op_duration.total
 
     # -- the control loop ----------------------------------------------------
 
@@ -173,10 +174,6 @@ class SpawnGovernor:
         if new_limit == self.limit:
             return
         old, self.limit = self.limit, new_limit
-        if new_limit > old:
-            self.increases += 1
-        else:
-            self.decreases += 1
         self.history.append((now, new_limit))
         self._record(now, old, new_limit, reason,
                      depth_per_slot=depth_per_slot,
@@ -185,18 +182,18 @@ class SpawnGovernor:
 
     # -- observability -------------------------------------------------------
 
-    def _publish_gauge(self) -> None:
-        metrics = self.cluster.metrics
-        if metrics is not None and metrics.enabled:
-            metrics.gauge("sched.spawn_limit").set(self.limit)
+    @property
+    def increases(self) -> int:
+        return self._increases.value
+
+    @property
+    def decreases(self) -> int:
+        return self._decreases.value
 
     def _record(self, now: float, old: int, new: int, reason: str,
                 **signals: Any) -> None:
-        self._publish_gauge()
-        metrics = self.cluster.metrics
-        if metrics is not None and metrics.enabled:
-            direction = "increase" if new > old else "decrease"
-            metrics.counter(f"sched.governor.{direction}").inc()
+        self._limit_gauge.set(new)
+        (self._increases if new > old else self._decreases).inc()
         tracer = self.cluster.tracer
         if tracer is not None and tracer.enabled:
             span = tracer.begin(

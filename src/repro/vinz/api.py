@@ -24,12 +24,16 @@ from ..bluebox.locks import (
     FileLockManager,
     LockManager,
 )
-from ..bluebox.monitoring import ConcurrencySampler, Counters
 from ..bluebox.store import SharedStore
 from ..gvm.futures import FutureExecutor, SynchronousFutureExecutor
+from ..observe.metrics import exponential_buckets
 from ..sched.governor import GovernorConfig, SpawnGovernor
 from .service import WorkflowService
 from .task import COMPLETED, ProcessRegistry, TaskRecord
+
+
+#: task durations in virtual seconds: 1 ms .. ~37 hours
+TASK_DURATION_BUCKETS = exponential_buckets(1e-3, 2.0, 28)
 
 
 class WorkflowError(RuntimeError):
@@ -51,7 +55,6 @@ class VinzEnvironment:
     """
 
     def __init__(self, nodes: int = 4, slots: int = 1, seed: int = 0,
-                 cluster: Optional[Cluster] = None,
                  store: Optional[SharedStore] = None,
                  locks: str = "coordinator",
                  lock_quirk_delay: float = 0.0,
@@ -78,13 +81,13 @@ class VinzEnvironment:
         #: governor backing ``(vinz-auto-spawn-limit)`` and
         #: ``spawn_limit="auto"`` deployments.  All default to the
         #: paper's behaviour.  See repro.sched / docs/scheduler.md.
-        self.cluster = cluster if cluster is not None else \
-            Cluster(seed=seed, trace=trace, retry_policy=retry_policy,
-                    spans=spans, scheduler=scheduler, admission=admission)
-        if retry_policy is not None and cluster is not None:
-            self.cluster.retry_policy = retry_policy
-        if not self.cluster.nodes:
-            self.cluster.add_nodes(nodes, slots=slots)
+        self.cluster = Cluster(seed=seed, trace=trace,
+                               retry_policy=retry_policy, spans=spans,
+                               scheduler=scheduler, admission=admission)
+        self.cluster.add_nodes(nodes, slots=slots)
+        #: the cluster's metrics registry (repro.observe), the one
+        #: store of every counter; ``counters`` is the same object
+        self.metrics = self.counters = self.cluster.metrics
         self.store = store if store is not None else SharedStore()
         if hasattr(self.store, "begin_window"):
             # a window-capable durable store (repro.durastore): the
@@ -92,7 +95,7 @@ class VinzEnvironment:
             # gets spans/metrics/virtual-time wiring
             self.cluster.durable_store = self.store
             self.store.tracer = self.cluster.tracer
-            self.store.metrics = self.cluster.metrics
+            self.store.metrics = self.metrics
             self.store.now_fn = lambda: self.cluster.kernel.now
         #: the adaptive spawn governor (repro.sched.governor).  Always
         #: present — it only acts for tasks/deployments that opt in
@@ -129,12 +132,12 @@ class VinzEnvironment:
         self.locks.lease_breaker = self.cluster.break_window_for
         from .recovery import RecoveryScanner
         #: detects lapsed leases / dead owners and re-awakens orphans
-        self.recovery = RecoveryScanner(self, interval=recovery_interval)
+        self.recovery = RecoveryScanner(self, self.metrics,
+                                        interval=recovery_interval)
         #: committed advancement windows ``(fiber_id, message_id,
         #: start, end)`` — the raw material of the single-runner audit
         self.runner_audit: List[tuple] = []
         self.registry = ProcessRegistry()
-        self.counters = Counters()
         # ------- event-sourced task history (docs/history_replay.md) --
         if history not in ("off", "on"):
             raise ValueError(f"unknown history mode {history!r}")
@@ -155,8 +158,7 @@ class VinzEnvironment:
         self.replayer = None
         if history == "on":
             from ..history import HistoryLog, HistoryRecorder, ReplayEngine
-            self.history_log = HistoryLog(self.store,
-                                          metrics=self.cluster.metrics)
+            self.history_log = HistoryLog(self.store, metrics=self.metrics)
             self.history = HistoryRecorder(self, self.history_log)
             self.replayer = ReplayEngine(self)
         if placement not in ("balanced", "affinity"):
@@ -192,19 +194,15 @@ class VinzEnvironment:
         self.future_executor_factory = (future_executor_factory
                                         or SynchronousFutureExecutor)
         self.workflows: Dict[str, WorkflowService] = {}
-        # concurrency profiling for the production bench
-        self.task_concurrency = ConcurrencySampler()
-        self.fiber_concurrency = ConcurrencySampler()
+        #: concurrency profile (peak, time-weighted mean) for the
+        #: production bench
+        self.tasks_in_flight = self.metrics.gauge("tasks.in_flight")
+        self.fibers_in_flight = self.metrics.gauge("fibers.in_flight")
 
     @property
     def tracer(self):
         """The cluster's causal span tracer (repro.observe)."""
         return self.cluster.tracer
-
-    @property
-    def metrics(self):
-        """The cluster's metrics registry (repro.observe)."""
-        return self.cluster.metrics
 
     # ------------------------------------------------------------------
     # deployment
@@ -337,7 +335,7 @@ class VinzEnvironment:
             alpha = self.migration_ewma_alpha
             self.service_latency[soap_action] = \
                 alpha * seconds + (1 - alpha) * previous
-        self.counters.incr("migration.observations")
+        self.metrics.counter("migration.observations").inc()
 
     def should_migrate(self, soap_action: str) -> bool:
         """Should a request to ``soap_action`` migrate the fiber?
@@ -355,8 +353,8 @@ class VinzEnvironment:
         if expected is None:
             return True  # explore: measure it the expensive-safe way
         migrate = expected >= self.migration_threshold
-        self.counters.incr("migration.decisions."
-                           + ("async" if migrate else "sync"))
+        self.metrics.counter("migration.decisions."
+                             + ("async" if migrate else "sync")).inc()
         return migrate
 
     def message_priority(self, task: "TaskRecord", default: int) -> int:
@@ -412,27 +410,29 @@ class VinzEnvironment:
     # ------------------------------------------------------------------
 
     def monitor_task_started(self, task: TaskRecord, now: float) -> None:
-        self.task_concurrency.change(now, +1)
-        self.fiber_concurrency.change(now, +1)  # the initial fiber
-        self.counters.incr("tasks.started")
-        self.counters.incr("fibers.started")
+        self.tasks_in_flight.add(+1, now)
+        self.fibers_in_flight.add(+1, now)  # the initial fiber
+        self.metrics.counter("tasks.started").inc()
+        self.metrics.counter("fibers.started").inc()
 
     def monitor_task_finished(self, task: TaskRecord, now: float) -> None:
-        self.task_concurrency.change(now, -1)
-        self.counters.incr(f"tasks.{task.status}")
+        self.tasks_in_flight.add(-1, now)
+        self.metrics.counter(f"tasks.{task.status}").inc()
         if task.duration is not None:
-            self.counters.add("tasks.total_duration", task.duration)
+            self.metrics.histogram(
+                "tasks.duration", buckets=TASK_DURATION_BUCKETS).observe(
+                    task.duration)
         if task.span_id:
             self.cluster.tracer.end(task.span_id, end=now,
                                     status=task.status)
 
     def monitor_fiber_started(self, fiber, now: float) -> None:
-        self.fiber_concurrency.change(now, +1)
-        self.counters.incr("fibers.started")
+        self.fibers_in_flight.add(+1, now)
+        self.metrics.counter("fibers.started").inc()
 
     def monitor_fiber_finished(self, fiber, now: float) -> None:
-        self.fiber_concurrency.change(now, -1)
-        self.counters.incr(f"fibers.{fiber.status}")
+        self.fibers_in_flight.add(-1, now)
+        self.metrics.counter(f"fibers.{fiber.status}").inc()
         if fiber.span_id:
             self.cluster.tracer.end(fiber.span_id, end=now,
                                     status=fiber.status)
@@ -440,13 +440,13 @@ class VinzEnvironment:
     def monitor_task_discarded(self, task: TaskRecord, now: float) -> None:
         """Roll back :meth:`monitor_task_started` after an aborted
         operation window discarded the freshly created task."""
-        self.task_concurrency.change(now, -1)
-        self.fiber_concurrency.change(now, -1)  # the initial fiber
-        self.counters.incr("tasks.discarded")
+        self.tasks_in_flight.add(-1, now)
+        self.fibers_in_flight.add(-1, now)  # the initial fiber
+        self.metrics.counter("tasks.discarded").inc()
 
     def monitor_fiber_discarded(self, fiber, now: float) -> None:
-        self.fiber_concurrency.change(now, -1)
-        self.counters.incr("fibers.discarded")
+        self.fibers_in_flight.add(-1, now)
+        self.metrics.counter("fibers.discarded").inc()
 
     # ------------------------------------------------------------------
     # metrics summary
@@ -457,8 +457,8 @@ class VinzEnvironment:
         (the paper's Section 4.2 measurement)."""
         out = {}
         for kind in ("mutable", "immutable"):
-            hits = self.counters.get(f"cache.{kind}.hit")
-            misses = self.counters.get(f"cache.{kind}.miss")
+            hits = self.metrics.get(f"cache.{kind}.hit")
+            misses = self.metrics.get(f"cache.{kind}.miss")
             total = hits + misses
             out[kind] = hits / total if total else 0.0
         return out
@@ -478,9 +478,9 @@ class VinzEnvironment:
             },
             "store": self.store.stats_snapshot(),
             "faults": {
-                "injected": self.cluster.counters.get("fault.injected"),
-                "retries_scheduled": self.cluster.counters.get("retry.scheduled"),
-                "operation_faults": self.cluster.counters.get("operation.faults"),
+                "injected": self.metrics.get("fault.injected"),
+                "retries_scheduled": self.metrics.get("retry.scheduled"),
+                "operation_faults": self.metrics.get("operation.faults"),
             },
             "sched": {
                 "policy": self.cluster.queue.policy.name,
@@ -498,8 +498,8 @@ class VinzEnvironment:
                          **self.recovery.summary(),
                          "leases": self.locks.lease_stats()},
             "utilization": self.cluster.utilization(),
-            "peak_task_concurrency": self.task_concurrency.peak,
-            "peak_fiber_concurrency": self.fiber_concurrency.peak,
+            "peak_task_concurrency": self.tasks_in_flight.peak,
+            "peak_fiber_concurrency": self.fibers_in_flight.peak,
             "trace": self.cluster.trace.snapshot(),
             "spans": self.cluster.tracer.summary(),
         }

@@ -43,6 +43,7 @@ from ..gvm.registry import (
     HostFunctionRegistry,
     ProgramTable,
 )
+from ..observe.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
 
 MAGIC = b"GZR1"
 
@@ -98,7 +99,8 @@ class FiberCodec:
     ``codec`` is one of ``"none" | "gzip" | "deflate" | "custom"``.
     ``custom`` implies the code-registry pickling *plus* raw deflate of
     the (much smaller) remainder.  ``table`` resolves program references
-    through ``registry`` and ``hosts``.
+    through ``registry`` and ``hosts``.  Blob sizes go to the
+    ``codec.encode_bytes``/``decode_bytes`` histograms of ``metrics``.
     """
 
     NAMES = {
@@ -110,7 +112,8 @@ class FiberCodec:
 
     def __init__(self, codec: str = "deflate",
                  registry: Optional[CodeRegistry] = None,
-                 hosts: Optional[HostFunctionRegistry] = None):
+                 hosts: Optional[HostFunctionRegistry] = None,
+                 metrics: Optional[MetricsRegistry] = None):
         if codec not in self.NAMES:
             raise ValueError(f"unknown codec {codec!r}")
         self.codec = codec
@@ -120,9 +123,11 @@ class FiberCodec:
         self.decoded = 0
         self.raw_bytes = 0
         self.stored_bytes = 0
-        #: optional MetricsRegistry (repro.observe) for blob-size
-        #: histograms; set by the owning WorkflowService
-        self.metrics = None
+        metrics = metrics or MetricsRegistry()
+        self._encode_bytes = metrics.histogram(
+            "codec.encode_bytes", buckets=DEFAULT_SIZE_BUCKETS)
+        self._decode_bytes = metrics.histogram(
+            "codec.decode_bytes", buckets=DEFAULT_SIZE_BUCKETS)
 
     # -- encode ---------------------------------------------------------
 
@@ -144,11 +149,7 @@ class FiberCodec:
         self.raw_bytes += len(raw)
         blob = MAGIC + self.NAMES[self.codec] + payload
         self.stored_bytes += len(blob)
-        if self.metrics is not None and self.metrics.enabled:
-            from ..observe.metrics import DEFAULT_SIZE_BUCKETS
-            self.metrics.histogram(
-                "codec.encode_bytes",
-                buckets=DEFAULT_SIZE_BUCKETS).observe(len(blob))
+        self._encode_bytes.observe(len(blob))
         return blob
 
     # -- decode ---------------------------------------------------------
@@ -185,11 +186,7 @@ class FiberCodec:
             state = self.deserialize_state(raw, fiber_id=fiber_id,
                                            codec_name=codec_name)
         self.decoded += 1
-        if self.metrics is not None and self.metrics.enabled:
-            from ..observe.metrics import DEFAULT_SIZE_BUCKETS
-            self.metrics.histogram(
-                "codec.decode_bytes",
-                buckets=DEFAULT_SIZE_BUCKETS).observe(len(blob))
+        self._decode_bytes.observe(len(blob))
         return state
 
     # -- the raw (uncompressed, unframed) layer ---------------------------

@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Optional
 
+from ..observe.metrics import MetricsRegistry
+
 #: slop added when scheduling a scan at a lease's expiry instant, so
 #: the `now >= expires_at` comparison is decided by arithmetic, not by
 #: floating-point luck
@@ -43,10 +45,12 @@ class RecoveryScanner:
     Driven entirely off the cluster's discrete-event clock: a scan is
     armed when a lease is granted (or a node dies) and re-armed only
     while leases remain outstanding, so the kernel still drains to idle
-    — the scanner never keeps the simulation alive on its own.
+    — the scanner never keeps the simulation alive on its own.  Its
+    statistics live in ``metrics`` (``recovery.*``).
     """
 
-    def __init__(self, vinz, interval: Optional[float] = None):
+    def __init__(self, vinz, metrics: MetricsRegistry,
+                 interval: Optional[float] = None):
         self.vinz = vinz
         self.locks = vinz.locks
         ttl = self.locks.lease_ttl
@@ -56,13 +60,13 @@ class RecoveryScanner:
             (ttl / 2.0 if ttl > 0 else 0.0)
         self.locks.lease_listener = self._on_lease_granted
         self._armed = False
-        # statistics
-        self.scans = 0
-        self.locks_expired = 0
-        self.fibers_reawakened = 0
-        self.reawakens_skipped = 0
-        self.max_recovery_latency = 0.0
-        self.total_recovery_latency = 0.0
+        self._scans = metrics.counter("recovery.scans")
+        self._locks_expired = metrics.counter("recovery.locks_expired")
+        self._reawakened = metrics.counter("recovery.reawakened")
+        self._skipped = metrics.counter("recovery.reawakens_skipped")
+        #: lease age at expiry: its max and total are the recovery
+        #: latency statistics
+        self._latency = metrics.histogram("recovery.latency")
 
     # ------------------------------------------------------------------
     # arming
@@ -104,7 +108,7 @@ class RecoveryScanner:
 
     def _tick(self) -> None:
         self._armed = False
-        self.scans += 1
+        self._scans.inc()
         cluster = self.vinz.cluster
         now = cluster.kernel.now
         for lease in self.locks.outstanding_leases():
@@ -119,14 +123,8 @@ class RecoveryScanner:
             evicted = self.locks.expire_lock(lease.key, reason=reason)
             if evicted is None:
                 continue
-            self.locks_expired += 1
-            latency = now - lease.renewed_at
-            self.max_recovery_latency = max(self.max_recovery_latency,
-                                            latency)
-            self.total_recovery_latency += latency
-            self.vinz.counters.incr("recovery.locks-expired")
-            self.vinz.metrics.counter("recovery.locks_expired").inc()
-            self.vinz.metrics.histogram("recovery.latency").observe(latency)
+            self._locks_expired.inc()
+            self._latency.observe(now - lease.renewed_at)
             cluster.trace.record(now, "lease-expired", key=lease.key,
                                  owner=evicted, reason=reason)
             tracer = cluster.tracer
@@ -150,16 +148,14 @@ class RecoveryScanner:
         """
         fiber = self.vinz.registry.fibers.get(fiber_id)
         if fiber is None or fiber.finished or fiber.last_message is None:
-            self.reawakens_skipped += 1
+            self._skipped.inc()
             return
         cluster = self.vinz.cluster
         message = fiber.last_message
         cluster.queue.push_back(message, now=cluster.kernel.now)
         cluster.kernel.schedule(cluster.delivery_latency,
                                 lambda s=message.service: cluster._kick(s))
-        self.fibers_reawakened += 1
-        self.vinz.counters.incr("recovery.reawakened")
-        self.vinz.metrics.counter("recovery.reawakened").inc()
+        self._reawakened.inc()
         cluster.trace.record(cluster.kernel.now, "fiber-reawakened",
                              fiber=fiber_id, msg=message.id, reason=reason)
 
@@ -170,10 +166,10 @@ class RecoveryScanner:
     def summary(self) -> Dict[str, Any]:
         return {
             "interval": self.interval,
-            "scans": self.scans,
-            "locks_expired": self.locks_expired,
-            "fibers_reawakened": self.fibers_reawakened,
-            "reawakens_skipped": self.reawakens_skipped,
-            "max_recovery_latency": self.max_recovery_latency,
-            "total_recovery_latency": self.total_recovery_latency,
+            "scans": self._scans.value,
+            "locks_expired": self._locks_expired.value,
+            "fibers_reawakened": self._reawakened.value,
+            "reawakens_skipped": self._skipped.value,
+            "max_recovery_latency": self._latency.max or 0.0,
+            "total_recovery_latency": self._latency.total,
         }

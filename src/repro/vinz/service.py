@@ -120,10 +120,18 @@ class WorkflowService(Service):
         self.cache_capacity = cache_capacity
         #: target per-chunk duration for :chunk-size :auto (seconds)
         self.auto_chunk_target = auto_chunk_target
-        self.codec = FiberCodec(codec)
-        # blob-size histograms flow into the cluster's metrics registry
-        self.codec.metrics = getattr(
-            getattr(vinz_env, "cluster", None), "metrics", None)
+        metrics = vinz_env.metrics
+        self.codec = FiberCodec(codec, metrics=metrics)
+        # instruments of the per-advancement path, bound once
+        self._resume_latency = metrics.histogram("fiber.resume_latency")
+        self._run_instructions = metrics.histogram(
+            "gvm.run_instructions", buckets=INSTRUCTION_BUCKETS)
+        self._persist_writes = metrics.counter("persist.writes")
+        self._persist_bytes = metrics.counter("persist.bytes")
+        self._cache_counters = {
+            name: metrics.counter(f"cache.{name}")
+            for name in ("mutable.hit", "mutable.miss",
+                         "immutable.hit", "immutable.miss")}
         # continuations persist in one format (whole FiberCodec blobs);
         # the keyword survives only for callers that name it explicitly
         if snapshots != "v1":
@@ -423,7 +431,7 @@ class WorkflowService(Service):
         if ctx.message.id not in fiber.seen_deliveries:
             fiber.seen_deliveries.add(ctx.message.id)
             fiber.mailbox.append(body.get("value"))
-            self.vinz.counters.incr("mailbox.delivered")
+            self.vinz.metrics.counter("mailbox.delivered").inc()
             recorder = self.vinz.history
             if recorder is not None:
                 # audit flavour: the fiber *consumes* the value via a
@@ -480,7 +488,7 @@ class WorkflowService(Service):
             # hold the slot for the patience window, then give up and
             # requeue (the Section 5 burstiness behaviour)
             ctx.charge(patience)
-            self.vinz.counters.incr("awake.lock-wait")
+            self.vinz.metrics.counter("awake.lock-wait").inc()
             return Requeue(delay=self.requeue_delay)
         #: the message that advances a fiber is its recovery handle: if
         #: this window's node dies holding the lock, the scanner
@@ -535,12 +543,9 @@ class WorkflowService(Service):
         if task.status != RUNNING:
             task.status = RUNNING
 
-        metrics = ctx.cluster.metrics
-        if metrics.enabled:
-            # enqueue -> actual advancement: the end-to-end resume lag
-            # a suspended fiber experiences (queue wait + lock waits)
-            metrics.histogram("fiber.resume_latency").observe(
-                ctx.now - ctx.message.enqueued_at)
+        # enqueue -> actual advancement: the end-to-end resume lag a
+        # suspended fiber experiences (queue wait + lock waits)
+        self._resume_latency.observe(ctx.now - ctx.message.enqueued_at)
 
         cache = self._node_cache(ctx)
         self._touch_task_env(ctx, cache, task)
@@ -548,10 +553,7 @@ class WorkflowService(Service):
         vm = self.runtime.new_vm(allow_yield=True)
         execution = FiberExecution(self, ctx, task, fiber, vm)
         vm.vinz = execution
-        if metrics.enabled:
-            vm.profile_sink = lambda n: metrics.histogram(
-                "gvm.run_instructions",
-                buckets=INSTRUCTION_BUCKETS).observe(n)
+        vm.profile_sink = self._run_instructions.observe
         # make the execution reachable from future bodies too (they run
         # on their own VM): Section 3.2's sync fallback needs it
         cv_token = distribution.CURRENT_EXECUTION.set(execution)
@@ -930,9 +932,9 @@ class WorkflowService(Service):
             # as a hit, not force a store re-read on every delivery
             env = cache.get_task_env(task.id, FiberCache.MISS)
             if env is not FiberCache.MISS:
-                self.vinz.counters.incr("cache.immutable.hit")
+                self._cache_counters["immutable.hit"].inc()
                 return
-            self.vinz.counters.incr("cache.immutable.miss")
+            self._cache_counters["immutable.miss"].inc()
         key = self._task_env_key(task.id)
         if self.vinz.store.exists(key):
             tracer = ctx.cluster.tracer
@@ -962,7 +964,7 @@ class WorkflowService(Service):
             return
         if not self.vinz.locks.fence_valid(*fence):
             self.vinz.locks.fence_rejections += 1
-            self.vinz.counters.incr("persist.fence-rejected")
+            self.vinz.metrics.counter("persist.fence-rejected").inc()
             key, owner, token = fence
             raise FencedWriteError(
                 f"stale fencing token {token} for {key} (owner {owner})")
@@ -983,7 +985,7 @@ class WorkflowService(Service):
             return False
         self._check_fence(ctx)
         fiber.version += 1
-        self.vinz.counters.incr("persist.skipped")
+        self.vinz.metrics.counter("persist.skipped").inc()
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
         return True
@@ -1014,8 +1016,8 @@ class WorkflowService(Service):
                 parent_id=ctx.span_id or None, fiber=fiber.id,
                 version=fiber.version, bytes=len(blob))
             tracer.end(span, end=ctx.now + ctx.charged)
-        self.vinz.counters.incr("persist.writes")
-        self.vinz.counters.add("persist.bytes", len(blob))
+        self._persist_writes.inc()
+        self._persist_bytes.inc(len(blob))
         self._record_snapshot(ctx, fiber)
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
@@ -1032,9 +1034,9 @@ class WorkflowService(Service):
             cached = cache.get_continuation(fiber.id, fiber.version,
                                             FiberCache.MISS)
             if cached is not FiberCache.MISS:
-                self.vinz.counters.incr("cache.mutable.hit")
+                self._cache_counters["mutable.hit"].inc()
                 return cached
-            self.vinz.counters.incr("cache.mutable.miss")
+            self._cache_counters["mutable.miss"].inc()
         recorder = self.vinz.history
         if recorder is not None and (
                 self.vinz.recovery_mode == "replay"
@@ -1084,7 +1086,6 @@ class WorkflowService(Service):
         continuation, instructions = self.vinz.replayer.rebuild(
             self, fiber, fiber.version, base=base)
         ctx.charge(instructions * self.instruction_cost)
-        self.vinz.counters.incr("history.rebuilds")
         ctx.trace("fiber-rebuild", task=fiber.task_id, fiber=fiber.id,
                   version=fiber.version,
                   base=(base[1] if base is not None else None))
@@ -1137,7 +1138,7 @@ class WorkflowService(Service):
                 ctx.charge(store.delete(key))
             except StoreError:
                 ctx.trace("reclaim-skipped", key=key)
-                self.vinz.cluster.counters.incr("store.reclaim-skipped")
+                self.vinz.metrics.counter("store.reclaim-skipped").inc()
 
     @staticmethod
     def _state_key(fiber_id: str) -> str:
@@ -1452,7 +1453,7 @@ class FiberExecution:
         self.ctx.send(self.service.name, "DeliverMessage",
                       {"fiber": pid, "value": value},
                       max_attempts=self.service.FIBER_MESSAGE_ATTEMPTS)
-        self.service.vinz.counters.incr("mailbox.sent")
+        self.service.vinz.metrics.counter("mailbox.sent").inc()
         self._mark("send-message")
 
     def auto_chunk_size(self) -> int:
@@ -1480,7 +1481,7 @@ class FiberExecution:
             avg = max(sum(recent) / len(recent), 1e-6)
             size = int(self.service.auto_chunk_target / avg)
             chosen = max(1, min(size, 64))
-            self.service.vinz.counters.incr("autochunk.decisions")
+            self.service.vinz.metrics.counter("autochunk.decisions").inc()
             self.ctx.trace("auto-chunk", task=self.task.id,
                            fiber=self.fiber.id, avg_item=round(avg, 4),
                            size=chosen)
@@ -1543,7 +1544,7 @@ class FiberExecution:
 
         def read():
             key = self.service._task_var_key(self.task.id, name)
-            vinz.counters.incr("taskvar.reads")
+            vinz.metrics.counter("taskvar.reads").inc()
             if vinz.store.exists(key):
                 blob = vinz.store.read(key)
                 self.ctx.charge(vinz.store.cost(len(blob)))
@@ -1586,7 +1587,7 @@ class FiberExecution:
             blob = pickle.dumps(value)
             self.ctx.charge(vinz.store.write(key, blob)
                             + vinz.taskvar_lock_overhead)
-            vinz.counters.incr("taskvar.writes")
+            vinz.metrics.counter("taskvar.writes").inc()
         finally:
             vinz.locks.release(lock_key, owner)
         return value

@@ -156,13 +156,13 @@ def run_production_day(scale: float = 0.01, nodes: int = 12,
         failed_tasks=counts.get("error", 0) + counts.get("terminated", 0),
         total_fibers=len(env.registry.fibers),
         makespan_hours=makespan / 3600.0,
-        peak_task_concurrency=env.task_concurrency.peak,
-        mean_task_concurrency=env.task_concurrency.mean_until(makespan),
-        peak_fiber_concurrency=env.fiber_concurrency.peak,
+        peak_task_concurrency=env.tasks_in_flight.peak,
+        mean_task_concurrency=env.tasks_in_flight.mean_until(makespan),
+        peak_fiber_concurrency=env.fibers_in_flight.peak,
         utilization=env.cluster.utilization(),
         queue_mean_wait=env.cluster.queue.mean_wait(),
         cache_hit_rates=env.cache_hit_rates(),
-        persist_writes=env.counters.get("persist.writes"),
+        persist_writes=env.metrics.get("persist.writes"),
         store_stats=env.store.stats_snapshot(),
         queue_p99_wait=env.cluster.queue.wait_percentile(0.99),
         sched=env.summary()["sched"],

@@ -1,6 +1,7 @@
-"""Monitoring tests: trace log, counters, concurrency sampler."""
+"""Monitoring tests: trace log, registry counters, concurrency gauges."""
 
-from repro.bluebox.monitoring import ConcurrencySampler, Counters, TraceLog
+from repro.bluebox.monitoring import TraceLog
+from repro.observe import MetricsRegistry
 
 
 class TestTraceLog:
@@ -37,44 +38,47 @@ class TestTraceLog:
 
 
 class TestCounters:
+    """Counters live in the metrics registry; float sums are
+    histograms (``total``/``mean``)."""
+
     def test_incr_get(self):
-        c = Counters()
-        c.incr("x")
-        c.incr("x", 2)
-        assert c.get("x") == 3
-        assert c.get("missing") == 0
+        metrics = MetricsRegistry()
+        metrics.counter("x").inc()
+        metrics.counter("x").inc(2)
+        assert metrics.get("x") == 3
+        assert metrics.get("missing") == 0
 
     def test_sums_and_mean(self):
-        c = Counters()
-        c.add("dur", 2.0)
-        c.add("dur", 4.0)
-        c.incr("n")
-        c.incr("n")
-        assert c.get_sum("dur") == 6.0
-        assert c.mean("dur", "n") == 3.0
-        assert c.mean("dur", "never") == 0.0
+        metrics = MetricsRegistry()
+        dur = metrics.histogram("dur")
+        dur.observe(2.0)
+        dur.observe(4.0)
+        assert dur.total == 6.0
+        assert dur.mean == 3.0
+        assert metrics.histogram("never").mean == 0.0
 
     def test_snapshot(self):
-        c = Counters()
-        c.incr("a")
-        snap = c.snapshot()
-        assert snap["counts"] == {"a": 1}
+        metrics = MetricsRegistry()
+        metrics.counter("a").inc()
+        assert metrics.snapshot()["counters"] == {"a": 1}
 
 
 class TestConcurrencySampler:
+    """Concurrency is sampled by a gauge moved with ``add(delta, now)``."""
+
     def test_peak_tracking(self):
-        s = ConcurrencySampler()
-        s.change(0.0, +1)
-        s.change(1.0, +1)
-        s.change(2.0, -1)
-        assert s.peak == 2
-        assert s.level == 1
+        gauge = MetricsRegistry().gauge("in_flight")
+        gauge.add(+1, 0.0)
+        gauge.add(+1, 1.0)
+        gauge.add(-1, 2.0)
+        assert gauge.peak == 2
+        assert gauge.value == 1
 
     def test_time_weighted_mean(self):
-        s = ConcurrencySampler()
-        s.change(0.0, +2)   # level 2 for [0, 10)
-        s.change(10.0, -1)  # level 1 for [10, 20)
-        assert s.mean_until(20.0) == (2 * 10 + 1 * 10) / 20
+        gauge = MetricsRegistry().gauge("in_flight")
+        gauge.add(+2, 0.0)   # level 2 for [0, 10)
+        gauge.add(-1, 10.0)  # level 1 for [10, 20)
+        assert gauge.mean_until(20.0) == (2 * 10 + 1 * 10) / 20
 
     def test_mean_at_zero_time(self):
-        assert ConcurrencySampler().mean_until(0.0) == 0.0
+        assert MetricsRegistry().gauge("g").mean_until(0.0) == 0.0

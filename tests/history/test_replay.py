@@ -101,7 +101,7 @@ class TestSnapshotInterval:
                               snapshot_interval=8)
         assert report.all_completed, report.statuses
         assert report.wrong_results() == []
-        assert report.env.counters.get("persist.skipped") > 0
+        assert report.env.metrics.get("persist.skipped") > 0
         report.replay_all()
 
     def test_interval_writes_fewer_bytes(self):
@@ -109,10 +109,10 @@ class TestSnapshotInterval:
                              snapshot_interval=1)
         sparse = run_campaign(CHAOS, seed=17, tasks=6, history="on",
                               snapshot_interval=8)
-        assert sparse.env.counters.get_sum("persist.bytes") < \
-            every.env.counters.get_sum("persist.bytes")
-        assert sparse.env.counters.get("persist.writes") < \
-            every.env.counters.get("persist.writes")
+        assert sparse.env.metrics.get("persist.bytes") < \
+            every.env.metrics.get("persist.bytes")
+        assert sparse.env.metrics.get("persist.writes") < \
+            every.env.metrics.get("persist.writes")
 
     def test_elided_version_rebuilt_by_replay(self):
         """Evict the fiber caches mid-run under an interval: loading a
@@ -123,7 +123,7 @@ class TestSnapshotInterval:
                               locks="file", lease_ttl=1.0)
         assert report.all_completed, report.statuses
         assert report.wrong_results() == []
-        assert report.env.counters.get("history.rebuilds") > 0
+        assert report.env.metrics.get("history.rebuilds") > 0
         report.replay_all()
 
 
@@ -161,7 +161,7 @@ class TestReplayRecovery:
                                        lambda: env.fail_node("node-1"))
         env.cluster.run_until_idle()
         assert state_reads == []
-        assert env.counters.get("history.rebuilds") > 0
+        assert env.metrics.get("history.rebuilds") > 0
         for task in env.registry.tasks.values():
             assert task.status == COMPLETED, (task.id, task.error)
             plist = {task.result[i].name: task.result[i + 1]

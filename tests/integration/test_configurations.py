@@ -106,7 +106,7 @@ class TestWorkflowServiceConfig:
         plist = {result[i].name: result[i + 1]
                  for i in range(0, len(result), 2)}
         assert plist["sum"] == EXPECTED_SUM
-        assert env.counters.get("cache.mutable.hit") == 0
+        assert env.metrics.get("cache.mutable.hit") == 0
 
     def test_instruction_cost_scales_virtual_time(self):
         def run_with_cost(cost):

@@ -90,6 +90,34 @@ class TestLeaseRecovery:
             bound = env.locks.lease_ttl + env.recovery.interval + 1e-6
             assert recovery["max_recovery_latency"] <= bound
 
+    def test_recovery_and_rebuilds_are_counted_once(self):
+        """A crash under file locks with replay recovery: the registry's
+        recovery and rebuild counters agree with the scanner's summary
+        and with the trace, one increment per event."""
+        env = VinzEnvironment(nodes=3, seed=7, locks="file",
+                              lease_ttl=1.0, history="on",
+                              recovery="replay")
+        env.deploy_workflow("Recovery", WORKFLOW, spawn_limit=2)
+        inputs = start_tasks(env, tasks=3, rng=random.Random(7))
+        # node-1 dies holding a fiber lock, which only its lease frees
+        env.cluster.kernel.schedule(0.3, lambda: env.fail_node("node-1"))
+        env.cluster.run_until_idle()
+        assert_all_correct(env, inputs)
+        summary = env.recovery.summary()
+        assert summary["locks_expired"] >= 1
+        assert env.metrics.get("recovery.locks_expired") == \
+            summary["locks_expired"]
+        assert env.metrics.get("recovery.reawakened") == \
+            summary["fibers_reawakened"]
+        assert env.metrics.histogram("recovery.latency").count == \
+            summary["locks_expired"]
+        rebuilds = env.metrics.get("history.rebuilds")
+        assert rebuilds >= 1
+        assert rebuilds == len(env.cluster.trace.of_kind("fiber-rebuild"))
+        assert rebuilds == sum(
+            1 for span in env.tracer.of_kind("history")
+            if span.attrs.get("mode") == "rebuild")
+
     def test_crash_restart_storm_file_locks(self):
         """Repeated kill/restore cycles under file locks + leases:
         nothing sticks, nothing double-runs, answers stay right."""

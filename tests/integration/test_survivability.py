@@ -78,7 +78,7 @@ class TestNodeFailureDuringWorkflow:
               (workflow-sleep 1)
               :done)""")
         env.run("W", None)
-        assert env.counters.get("persist.writes") == 3
+        assert env.metrics.get("persist.writes") == 3
 
     def test_fiber_version_increments_per_checkpoint(self):
         env = VinzEnvironment(nodes=2, seed=37)

@@ -1,5 +1,5 @@
 """Tracing must be zero-cost when disabled: a traced-off run creates no
-spans, allocates no per-message span state, and records no metrics."""
+spans and allocates no per-message span state.  Metrics stay on."""
 
 from repro.bluebox.services import simple_service
 from repro.vinz.api import VinzEnvironment
@@ -27,7 +27,7 @@ def build_env(**kwargs):
     return env
 
 
-def test_disabled_run_creates_no_spans_or_metrics():
+def test_disabled_run_creates_no_spans():
     env = build_env(trace=False)
     task_id = env.run("Over", [1, 2, 3])
     assert env.registry.tasks[task_id].result == 12
@@ -35,11 +35,24 @@ def test_disabled_run_creates_no_spans_or_metrics():
     assert not env.tracer.enabled
     assert env.tracer.spans_created == 0
     assert env.tracer.spans() == []
-    assert env.metrics.snapshot() == {"counters": {}, "gauges": {},
-                                      "histograms": {}}
     # no span ids leaked into fiber records either
     assert all(f.span_id == 0 for f in env.registry.fibers.values())
     assert all(t.span_id == 0 for t in env.registry.tasks.values())
+
+
+def test_untraced_run_records_metrics():
+    env = build_env(trace=False)
+    env.run("Over", [1, 2, 3])
+    assert env.counters is env.metrics
+    snapshot = env.metrics.snapshot()
+    assert snapshot["counters"] and snapshot["histograms"]
+    # every delivery and every encode observed exactly once
+    histograms = snapshot["histograms"]
+    assert histograms["queue.wait"]["count"] == env.cluster.queue.delivered
+    encoded = sum(w.codec.encoded for w in env.workflows.values())
+    assert encoded > 0
+    assert histograms["codec.encode_bytes"]["count"] == encoded
+    assert env.metrics.gauge("tasks.in_flight").peak == 1
 
 
 def test_spans_flag_decouples_tracer_from_trace_log():

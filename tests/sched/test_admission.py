@@ -146,11 +146,11 @@ class TestEndToEndBackpressure:
                    for t in tasks)
         # sched.* metrics
         metrics = env.cluster.metrics
-        assert metrics.counter("sched.admission.shed").value > 0
+        assert metrics.get("sched.admission.shed") > 0
         assert metrics.gauge("sched.backlog.Svc").value >= 0
-        # monitoring counters mirror the controller's tallies
-        counters = env.cluster.counters
-        assert counters.get("admission.shed") == env.cluster.admission.shed
+        # the registry mirrors the controller's tallies
+        assert metrics.get("sched.admission.shed") == \
+            env.cluster.admission.shed
         # sched-kind spans, present in the Chrome trace export
         shed_spans = [s for s in env.cluster.tracer.of_kind("sched")
                       if s.name.startswith("sched:shed")]

@@ -64,7 +64,7 @@ class TestAbortedWindowOnCacheHit:
         assert env.call("W", ITEMS) == EXPECTED
         assert injector.injected.get(injected) == 1
         # the aborted window (the second) resumed from a cache hit
-        assert env.counters.get("cache.mutable.hit") >= 1
+        assert env.metrics.get("cache.mutable.hit") >= 1
 
     def test_retry_after_failed_write_reuses_the_cached_entry(self):
         env, _ = _env(FaultPlan([StoreFault(FAIL_WRITE,
@@ -74,8 +74,8 @@ class TestAbortedWindowOnCacheHit:
         assert env.call("W", ITEMS) == clean.call("W", ITEMS)
         # one more hit than the clean run: the retry resumed the very
         # entry the aborted window had resumed
-        assert env.counters.get("cache.mutable.hit") \
-            == clean.counters.get("cache.mutable.hit") + 1
+        assert env.metrics.get("cache.mutable.hit") \
+            == clean.metrics.get("cache.mutable.hit") + 1
 
 
 class TestCodecFramesTheCapture:

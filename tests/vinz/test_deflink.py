@@ -167,8 +167,8 @@ class TestSyncModes:
             (defun main (params) (C-Hit-Method))""")
         assert env.call("W", None) == 1
         # no ResumeFromCall happened: the call was synchronous
-        assert env.cluster.counters.get("op.W.ResumeFromCall") == 0
-        assert env.cluster.counters.get("sync.Cnt.Hit") == 1
+        assert env.metrics.get("op.W.ResumeFromCall") == 0
+        assert env.metrics.get("sync.Cnt.Hit") == 1
 
     def test_dynamic_force_sync(self, env):
         """*vinz-force-sync* switches to synchronous at run time."""
@@ -179,7 +179,7 @@ class TestSyncModes:
               (let ((*vinz-force-sync* t))
                 (C-Hit-Method)))""")
         assert env.call("W", None) == 1
-        assert env.cluster.counters.get("op.W.ResumeFromCall") == 0
+        assert env.metrics.get("op.W.ResumeFromCall") == 0
 
     def test_async_by_default_on_fiber_thread(self, env):
         self._count_service(env)
@@ -187,7 +187,7 @@ class TestSyncModes:
             (deflink C :wsdl "urn:cnt")
             (defun main (params) (C-Hit-Method))""")
         assert env.call("W", None) == 1
-        assert env.cluster.counters.get("op.W.ResumeFromCall") == 1
+        assert env.metrics.get("op.W.ResumeFromCall") == 1
 
     def test_background_thread_goes_sync_automatically(self, env):
         """Section 3.2: from a future's thread, Vinz 'detects this and
@@ -198,8 +198,8 @@ class TestSyncModes:
             (defun main (params)
               (touch (future (C-Hit-Method))))""")
         assert env.call("W", None) == 1
-        assert env.cluster.counters.get("op.W.ResumeFromCall") == 0
-        assert env.cluster.counters.get("sync.Cnt.Hit") == 1
+        assert env.metrics.get("op.W.ResumeFromCall") == 0
+        assert env.metrics.get("sync.Cnt.Hit") == 1
 
 
 class TestRestartsFromDeflink:

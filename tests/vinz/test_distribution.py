@@ -144,7 +144,7 @@ class TestSpawnLimit:
             (defun main (params) (for-each (x in params) x))""",
             spawn_limit=3)
         env.run("W", list(range(7)))
-        awakes = env.cluster.counters.get("op.W.AwakeFiber")
+        awakes = env.metrics.get("op.W.AwakeFiber")
         assert awakes >= 7
 
     def test_dynamic_spawn_limit_adjustment(self, env):
@@ -261,7 +261,7 @@ class TestForkAndExec:
               (workflow-sleep 5)
               :done)""")
         env.call("W", None)
-        assert env.cluster.counters.get("op.W.AwakeFiber") == 0
+        assert env.metrics.get("op.W.AwakeFiber") == 0
 
     def test_task_ids_shared_across_fibers(self, env):
         env.deploy_workflow("W", """

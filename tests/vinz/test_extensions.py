@@ -50,7 +50,7 @@ class TestAffinityPlacement:
         env = VinzEnvironment(nodes=4, seed=3, placement="affinity")
         env.deploy_workflow("W", MULTI_HOP)
         env.run("W", None)
-        hits = env.cluster.counters.get("placement.affinity-hit")
+        hits = env.metrics.get("placement.affinity-hit")
         assert hits > 0
 
     def test_affinity_is_soft_busy_node_falls_back(self):
@@ -62,7 +62,7 @@ class TestAffinityPlacement:
               (for-each (x in params) (compute 1.0) x))""",
             spawn_limit=8)
         assert env.call("W", [1, 2, 3, 4, 5, 6]) == [1, 2, 3, 4, 5, 6]
-        misses = env.cluster.counters.get("placement.affinity-miss")
+        misses = env.metrics.get("placement.affinity-miss")
         assert misses >= 0  # fallback path exists and is harmless
 
     def test_affinity_survives_node_failure(self):
@@ -108,7 +108,7 @@ class TestAdaptiveMigration:
         env = self._env("programmer")
         env.call("W", None)
         # every service call migrated: 5 ResumeFromCalls
-        assert env.cluster.counters.get("op.W.ResumeFromCall") == 5
+        assert env.metrics.get("op.W.ResumeFromCall") == 5
 
     def test_adaptive_learns_to_skip_migration_for_fast_ops(self):
         env = self._env("adaptive")
@@ -117,8 +117,8 @@ class TestAdaptiveMigration:
         env.call("W", None)
         # fast ops stopped migrating after the first observation;
         # the slow op still migrates every time
-        resumes = env.cluster.counters.get("op.W.ResumeFromCall")
-        sync_fast = env.cluster.counters.get("sync.Mixed.Fast")
+        resumes = env.metrics.get("op.W.ResumeFromCall")
+        sync_fast = env.metrics.get("sync.Mixed.Fast")
         assert sync_fast >= 8   # most fast calls went synchronous
         assert resumes < 15     # far fewer migrations than programmer mode
         # the learner's table has both operations
@@ -166,11 +166,11 @@ class TestSiblingChaining:
     def test_chain_single_parent_wakeup(self):
         """N children cost 1 AwakeFiber instead of N."""
         env, _ = self._run("chain", list(range(8)))
-        assert env.cluster.counters.get("op.W.AwakeFiber") == 1
+        assert env.metrics.get("op.W.AwakeFiber") == 1
 
     def test_awake_strategy_wakes_parent_per_child(self):
         env, _ = self._run("awake", list(range(8)))
-        assert env.cluster.counters.get("op.W.AwakeFiber") >= 8
+        assert env.metrics.get("op.W.AwakeFiber") >= 8
 
     def test_chain_respects_spawn_limit(self):
         """At most `limit` chain children run concurrently."""
@@ -402,9 +402,9 @@ class TestFiberMailboxes:
                   (dotimes (i 10) (setq last (receive-message)))
                   last)))""")
         # task vars: one locked store write per mutation
-        assert taskvar_env.counters.get("taskvar.writes") == 10
-        assert mailbox_env.counters.get("taskvar.writes") == 0
-        assert mailbox_env.counters.get("mailbox.delivered") == 10
+        assert taskvar_env.metrics.get("taskvar.writes") == 10
+        assert mailbox_env.metrics.get("taskvar.writes") == 0
+        assert mailbox_env.metrics.get("mailbox.delivered") == 10
         # the mailbox path writes far less to the shared store
         assert mailbox_env.store.writes < taskvar_env.store.writes
 

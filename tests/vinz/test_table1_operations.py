@@ -116,7 +116,7 @@ class TestRunFiber:
     def test_runfiber_executes_workflow_code(self, env):
         env.deploy_workflow("W", SIMPLE)
         env.call("W", 1)
-        runs = env.cluster.counters.get("op.W.RunFiber")
+        runs = env.metrics.get("op.W.RunFiber")
         assert runs >= 1
 
     def test_missing_main_is_fault(self, env):
@@ -135,7 +135,7 @@ class TestAwakeFiber:
     def test_children_awaken_parent(self, env):
         env.deploy_workflow("W", CHILD_SPAWNING)
         env.call("W", [1, 2, 3])
-        awakes = env.cluster.counters.get("op.W.AwakeFiber")
+        awakes = env.metrics.get("op.W.AwakeFiber")
         assert awakes >= 3  # one per child
 
     def test_explicit_awake_from_prelude(self, env):
@@ -167,7 +167,7 @@ class TestResumeFromCall:
             (defun main (params)
               (M-Double-Method :X params))""")
         assert env.call("W", 21) == 42
-        assert env.cluster.counters.get("op.W.ResumeFromCall") == 1
+        assert env.metrics.get("op.W.ResumeFromCall") == 1
 
     def test_fiber_suspended_while_service_runs(self, env):
         """Section 3.2: the fiber consumes no slot while the service

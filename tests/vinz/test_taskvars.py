@@ -105,8 +105,8 @@ class TestOverheadAccounting:
               (dotimes (i 5) (setf ^v^ i))
               ^v^)""")
         env.call("W", None)
-        assert env.counters.get("taskvar.writes") == 5
-        assert env.counters.get("taskvar.reads") >= 1
+        assert env.metrics.get("taskvar.writes") == 5
+        assert env.metrics.get("taskvar.reads") >= 1
 
     def test_mutation_has_high_sync_overhead(self, env):
         """Section 5: 'task variables ... have a very high
