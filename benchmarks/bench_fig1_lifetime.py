@@ -1,15 +1,17 @@
 """Experiment F1 — Figure 1: Sample Workflow Lifetime.
 
-Regenerates the paper's Figure 1 as a causally ordered event trace of
-one task: Start -> RunFiber -> non-blocking service call (suspend +
-persist) -> ResumeFromCall -> for-each fan-out -> AwakeFiber x N ->
-completion.  The benchmark measures the end-to-end advance of one such
-lifetime, reconstructs it as a causal span *tree* (repro.observe), and
-exports a Perfetto-loadable Chrome ``trace_event`` JSON of it.
+Regenerates the paper's Figure 1 as the causal span tree of one task
+(repro.observe): Start -> RunFiber -> non-blocking service call
+(suspend + persist) -> ResumeFromCall -> for-each fan-out ->
+AwakeFiber x N -> completion.  The benchmark measures the end-to-end
+advance of one such lifetime, renders its tree with a table of the
+phases observed in it, and exports a Perfetto-loadable Chrome
+``trace_event`` JSON of it.
 """
 
 import json
 import os
+import re
 
 from repro.bluebox.services import simple_service
 from repro.faults.injector import FaultInjector
@@ -52,37 +54,71 @@ def run_lifetime(env):
     return task_id
 
 
+#: a fiber line of a rendered span tree: its id and attributes
+FIBER_LINE = re.compile(r"^\s*fiber fiber:(\S+) \[.*?\](.*)$")
+
+
+def assert_forks_are_live_or_discarded(env, text):
+    """Every fiber a rendered lifetime shows is a live registry record,
+    unless the line marks it rolled back (``status=discarded``)."""
+    for line in text.splitlines():
+        match = FIBER_LINE.match(line)
+        if match is not None:
+            fiber_id, attrs = match.groups()
+            discarded = "status=discarded" in attrs.split()
+            assert discarded != (fiber_id in env.registry.fibers), line
+
+
+def lifetime_phases(env, task_id):
+    """The Figure-1 phases, each judged on the task's span tree.  A
+    span rolled back with its aborted window (``status=discarded``)
+    counts toward no phase."""
+    tree = [span for span in env.tracer.task_tree(task_id)
+            if span.attrs.get("status") != "discarded"]
+    by_id = {span.id: span for span in tree}
+    root = tree[0]
+    runs = [span for span in tree if span.kind == "fiber-run"]
+    fibers = [span for span in tree if span.kind == "fiber"]
+
+    def op_of(run):
+        return by_id[run.parent_id].name
+
+    return [
+        ("Start creates task+fiber, persists initial state",
+         root.kind == "task"
+         and any("parent_fiber" not in f.attrs for f in fibers)),
+        ("RunFiber begins the fiber on some instance",
+         any(op_of(r).endswith(".RunFiber") for r in runs)),
+        ("service request -> yield -> persist (non-blocking)",
+         any(r.attrs.get("suspend") == "service-call"
+             and {"queue-hop", "persistence"} <= {
+                 c.kind for c in tree if c.parent_id == r.id}
+             for r in runs)),
+        ("ResumeFromCall restores the fiber elsewhere",
+         any(r.attrs["resume"] and op_of(r).endswith(".ResumeFromCall")
+             for r in runs)),
+        ("for-each forks child fibers",
+         any("parent_fiber" in f.attrs for f in fibers)),
+        ("children complete, AwakeFiber wakes the parent",
+         sum(f.attrs.get("status") == "completed" for f in fibers) >= 3
+         and any(op_of(r).endswith(".AwakeFiber") for r in runs)),
+        ("task completes", root.attrs.get("status") == "completed"),
+    ]
+
+
 def test_figure1_lifetime(benchmark, bench_report):
     benchmark(lambda: run_lifetime(build_env(trace=False)))
 
     env = build_env()
     task_id = run_lifetime(env)
-    events = env.cluster.trace.for_task(task_id)
+    tree = env.tracer.render_tree(env.tracer.task_root(task_id))
+    assert_forks_are_live_or_discarded(env, tree)
+    phases = lifetime_phases(env, task_id)
 
     lines = ["== Figure 1 — Sample Workflow Lifetime (reproduced) ==",
-             f"(one task: {task_id}; times are virtual seconds)", ""]
-    for event in events:
-        lines.append(repr(event))
-
-    # summarize the phases for the experiments table
-    kinds = [e.kind for e in events]
-    phases = [
-        ("Start creates task+fiber, persists initial state",
-         "task-start" in kinds),
-        ("RunFiber begins the fiber on some instance",
-         "fiber-run" in kinds),
-        ("service request -> yield -> persist (non-blocking)",
-         "service-request" in kinds and "fiber-suspend" in kinds),
-        ("ResumeFromCall restores the fiber elsewhere",
-         any(e.kind == "fiber-run" and e.detail.get("resume")
-             for e in events)),
-        ("for-each forks child fibers", "fiber-fork" in kinds),
-        ("children complete, AwakeFiber wakes the parent",
-         sum(1 for k in kinds if k == "fiber-complete") >= 3),
-        ("task completes", "task-complete" in kinds),
-    ]
-    lines.append("")
-    lines.append(table("Lifetime phases", ["phase", "observed"], phases))
+             f"(one task: {task_id}; times are virtual seconds)", "",
+             tree, "",
+             table("Lifetime phases", ["phase", "observed"], phases)]
     bench_report("fig1_lifetime", "\n".join(lines))
 
     for _phase, observed in phases:
@@ -173,19 +209,19 @@ def test_figure1_trace_links_fault_redelivery():
     # the redelivered message's spans still belong to the task's tree
     tree_ids = {span.id for span in tracer.task_tree(task_id)}
     assert any(hop.id in tree_ids for hop in retries)
-    # the injected drop is annotated on the original hop span
-    origins = {tracer.get(hop.attrs["retry_of"]) for hop in retries}
-    assert any(name == "fault.drop"
+    # the injected drop is a point event under the original hop span
+    origins = {hop.attrs["retry_of"] for hop in retries}
+    assert any(mark.point and mark.name == "fault.drop"
                for origin in origins
-               for _time, name, _attrs in origin.annotations)
+               for mark in tracer.children_of(origin))
     assert tracer.verify_parents() == []
 
 
 def test_figure1_nodes_differ():
     """The lifetime genuinely spans machines: the fiber's successive
-    run events land on more than one node (migration, Section 3.1)."""
+    run spans land on more than one node (migration, Section 3.1)."""
     env = build_env()
     task_id = run_lifetime(env)
-    events = env.cluster.trace.for_task(task_id)
-    runs = [e.detail["node"] for e in events if e.kind == "fiber-run"]
+    runs = [span.attrs["node"] for span in env.tracer.task_tree(task_id)
+            if span.kind == "fiber-run"]
     assert len(set(runs)) >= 2

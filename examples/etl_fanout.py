@@ -58,8 +58,8 @@ def main() -> None:
 
     # let the transform stage get going, then start killing nodes
     env.cluster.run_until(
-        lambda: sum(1 for e in env.cluster.trace.events
-                    if e.kind == "fiber-fork") >= 4)
+        lambda: sum(1 for s in env.tracer.of_kind("fiber")
+                    if "parent_fiber" in s.attrs) >= 4)
     for victim in ["node-1", "node-2"]:
         requeued = env.fail_node(victim)
         print(f"!! killed {victim} mid-run "
@@ -78,11 +78,11 @@ def main() -> None:
     print(f"\nThe queue re-delivered {redelivered} message(s) after the "
           "failures; no state was lost (checkpoints + redelivery).")
 
-    print("\n-- lifetime trace (Figure 1 style), first 25 events --")
-    events = env.cluster.trace.for_task(task_id)
-    for event in events[:25]:
-        print("  " + repr(event))
-    print(f"  ... {max(0, len(events) - 25)} more events")
+    print("\n-- lifetime span tree (Figure 1 style), first 25 lines --")
+    lines = env.tracer.render_tree(env.tracer.task_root(task_id)).splitlines()
+    for line in lines[:25]:
+        print("  " + line)
+    print(f"  ... {max(0, len(lines) - 25)} more lines")
 
 
 if __name__ == "__main__":

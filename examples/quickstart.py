@@ -88,8 +88,7 @@ def distributed() -> None:
           f"(1 parent + {summary['fibers_total'] - 1} children)")
     print(f"  virtual time: {summary['virtual_time']:.4f}s, "
           f"messages delivered: {summary['queue']['delivered']}")
-    nodes_used = {e.detail['node']
-                  for e in env.cluster.trace.of_kind('fiber-run')}
+    nodes_used = {s.attrs['node'] for s in env.tracer.of_kind('fiber-run')}
     print(f"  fibers ran on nodes: {sorted(nodes_used)}")
 
 

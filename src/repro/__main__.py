@@ -8,8 +8,8 @@ Commands:
 * ``deploy FILE [PARAMS]`` — wrap the file as a Vinz workflow on a
   simulated cluster, run it to completion, and print the result plus
   cluster statistics;
-* ``trace FILE [PARAMS]`` — like ``deploy`` but prints the Figure-1
-  style lifetime trace of the task;
+* ``trace FILE [PARAMS]`` — like ``deploy`` but prints the task's
+  Figure-1 lifetime: its causal span tree, point events included;
 * ``dis EXPR`` — compile a Gozer expression and print its bytecode;
 * ``expand EXPR`` — print the macroexpansion of an expression;
 * ``repl`` — the interactive REPL (same as examples/repl.py);
@@ -96,7 +96,7 @@ def cmd_trace(args) -> int:
 
         params = read_string(args.params)
     task_id = env.run("Main", params)
-    print(env.cluster.trace.render(env.cluster.trace.for_task(task_id)))
+    print(env.tracer.render_tree(env.tracer.task_root(task_id)))
     task = env.registry.tasks[task_id]
     print(f"\ntask {task_id}: {task.status}, result "
           f"{print_form(task.result)}")
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_flags(p)
     p.set_defaults(fn=cmd_deploy)
 
-    p = sub.add_parser("trace", help="run a workflow and print its lifetime")
+    p = sub.add_parser("trace", help="run a workflow and print its "
+                       "lifetime as a causal span tree")
     p.add_argument("file")
     p.add_argument("params", nargs="?")
     cluster_flags(p)

@@ -23,7 +23,6 @@ from .store import DirectoryStore, SharedStore, StoreError
 from .locks import CoordinatorLockManager, FileLockManager, LockManager
 from .wsdl import WsdlDocument, WsdlOperation, WsdlParameter
 from .xmlmsg import ServiceMessage, XmlElement, element_to_value, value_to_element
-from .monitoring import TraceEvent, TraceLog
 
 __all__ = [
     "RealClock", "SimKernel", "VirtualClock",
@@ -36,5 +35,4 @@ __all__ = [
     "CoordinatorLockManager", "FileLockManager", "LockManager",
     "WsdlDocument", "WsdlOperation", "WsdlParameter",
     "ServiceMessage", "XmlElement", "element_to_value", "value_to_element",
-    "TraceEvent", "TraceLog",
 ]

@@ -39,12 +39,6 @@ from .messagequeue import (
     ReplyTo,
     _trace_ids,
 )
-from .monitoring import (
-    DEADLETTER_ENQUEUED,
-    OPERATION_FAULT,
-    RETRY_SCHEDULED,
-    TraceLog,
-)
 from .store import StoreError
 from .services import (
     OperationContext,
@@ -125,7 +119,6 @@ class Cluster:
     def __init__(self, seed: int = 0, delivery_latency: float = 0.002,
                  redelivery_delay: float = 0.05, trace: bool = True,
                  retry_policy: Optional[RetryPolicy] = None,
-                 spans: Optional[bool] = None,
                  scheduler: Any = None,
                  admission: Any = None):
         self.kernel = SimKernel()
@@ -143,10 +136,10 @@ class Cluster:
         #: door.  None (the default) accepts everything, as the paper's
         #: production system does.
         self.admission = make_admission(admission)
-        #: causal span tracing (repro.observe); follows ``trace`` unless
-        #: set explicitly.  Hot paths guard on the single ``enabled``
-        #: flag, so a disabled tracer allocates nothing.
-        self.tracer = SpanTracer(enabled=trace if spans is None else spans)
+        #: causal span tracing (repro.observe), the one event record;
+        #: ``trace`` switches it.  Hot paths guard on the single
+        #: ``enabled`` flag, so a disabled tracer allocates nothing.
+        self.tracer = SpanTracer(enabled=trace)
         self.queue.tracer = self.tracer
         self.queue.now_fn = lambda: self.kernel.now
         self.rng = random.Random(seed)
@@ -178,7 +171,6 @@ class Cluster:
         self.dead_letter_listeners: List[Callable[[Message], None]] = []
         self.nodes: Dict[str, Node] = {}
         self.services: Dict[str, Service] = {}
-        self.trace = TraceLog(enabled=trace)
         #: per-operation durations: the spawn governor's latency signal
         self._op_duration = self.metrics.histogram("op.duration")
         self._lease_renewed = self.metrics.counter("lease.renewed")
@@ -256,9 +248,6 @@ class Cluster:
         if self.admission is not None and not self._admit(message):
             return message
         self.queue.enqueue(message, self.kernel.now)
-        self.trace.record(self.kernel.now, "enqueue", service=service,
-                          operation=operation, msg=message.id,
-                          priority=priority, **_trace_ids(body))
         self.kernel.schedule(self.delivery_latency,
                              lambda: self._kick(service))
         return message
@@ -303,10 +292,6 @@ class Cluster:
 
     def _record_admission(self, message: Message, verdict: str,
                           backlog: int, delay: float) -> None:
-        self.trace.record(self.kernel.now, f"admission-{verdict}",
-                          service=message.service,
-                          operation=message.operation, msg=message.id,
-                          backlog=backlog, delay=delay)
         self.metrics.counter(
             "sched.admission.shed" if verdict == ADMIT_SHED
             else "sched.admission.delayed").inc()
@@ -498,9 +483,6 @@ class Cluster:
         started = self.kernel.now
         record = _InFlight(message, instance, started)
         self._in_flight.append(record)
-        self.trace.record(started, "deliver", service=message.service,
-                          operation=message.operation, msg=message.id,
-                          node=node.id, **_trace_ids(message.body))
         context = OperationContext(self, instance, message)
         record.context = context
         if self.tracer.enabled:
@@ -595,9 +577,6 @@ class Cluster:
         for record in list(self._in_flight):
             if record.valid and self._window_owner(record) == owner:
                 self.metrics.counter("lease.window-broken").inc()
-                self.trace.record(self.kernel.now, "lease-broken",
-                                  key=key, owner=owner, reason=reason,
-                                  msg=record.message.id)
                 self._abort_window(record,
                                    f"lease on {key} broken: {reason}")
                 return True
@@ -655,10 +634,6 @@ class Cluster:
         if isinstance(envelope.value, Requeue):
             # the handler backed off (e.g. AwakeFiber lock patience):
             # the message goes back on the queue, keeping its reply_to
-            self.trace.record(self.kernel.now, "requeue",
-                              service=message.service,
-                              operation=message.operation, msg=message.id,
-                              node=node.id)
             if record.span_id:
                 self.tracer.end(record.span_id, end=self.kernel.now,
                                 requeued=True)
@@ -670,9 +645,6 @@ class Cluster:
                 self._on_dead_letter(message, "voluntary requeues exhausted")
             self._kick_node(node)
             return
-        self.trace.record(self.kernel.now, "complete", service=message.service,
-                          operation=message.operation, msg=message.id,
-                          node=node.id, ok=envelope.ok)
         if record.span_id:
             self.tracer.end(record.span_id, end=self.kernel.now,
                             ok=envelope.ok)
@@ -723,11 +695,6 @@ class Cluster:
         if record.span_id:
             self.tracer.end(record.span_id, end=self.kernel.now,
                             aborted=True, error=reason)
-        self.trace.record(self.kernel.now, OPERATION_FAULT,
-                          service=record.message.service,
-                          operation=record.message.operation,
-                          msg=record.message.id, node=node.id,
-                          reason=reason)
         self.metrics.counter("operation.faults").inc()
         self._retry_or_dead_letter(record.message, reason)
         self._kick_node(node)
@@ -749,11 +716,6 @@ class Cluster:
             self._on_dead_letter(message, f"{reason}; attempts exhausted")
             return False
         delay = policy.backoff_delay(message.attempts, self.rng)
-        self.trace.record(now, RETRY_SCHEDULED, msg=message.id,
-                          service=message.service,
-                          operation=message.operation,
-                          attempt=message.attempts, delay=delay,
-                          reason=reason)
         self.metrics.counter("retry.scheduled").inc()
         self.kernel.schedule(
             delay, lambda m=message: (self.queue.push_back(m),
@@ -761,13 +723,15 @@ class Cluster:
         return True
 
     def _on_dead_letter(self, message: Message, reason: str) -> None:
-        """Observability + liveness when a message dead-letters: trace
-        it, answer any waiting requester with a fault (so synchronous
-        callers and suspended fibers get a signalable condition instead
-        of hanging), and tell the listeners (Vinz fails the owning
-        fiber/task through the normal error path)."""
-        self.trace.record(self.kernel.now, DEADLETTER_ENQUEUED,
-                          msg=message.id, service=message.service,
+        """Observability + liveness when a message dead-letters: record
+        a point event under its first queue hop, answer any waiting
+        requester with a fault (so synchronous callers and suspended
+        fibers get a signalable condition instead of hanging), and tell
+        the listeners (Vinz fails the owning fiber/task through the
+        normal error path)."""
+        self.tracer.event("dead-letter", self.kernel.now,
+                          message.origin_span_id, msg=message.id,
+                          service=message.service,
                           operation=message.operation,
                           attempts=message.attempts, reason=reason)
         self.metrics.counter("deadletter.enqueued").inc()
@@ -811,9 +775,6 @@ class Cluster:
                     for hook in record.context.abort_hooks:
                         hook()
                 message = record.message
-                self.trace.record(self.kernel.now, "instance-failure",
-                                  node=node.id, msg=message.id,
-                                  operation=message.operation)
                 if record.span_id:
                     self.tracer.end(record.span_id, end=self.kernel.now,
                                     aborted=True, error="node-failure")

@@ -240,12 +240,6 @@ class MessageQueue:
         self.dropped += 1
         self.dead_lettered += 1
         self.dead_letters.append(message)
-        if self.tracer is not None and self.tracer.enabled \
-                and message.origin_span_id:
-            self.tracer.annotate(message.origin_span_id,
-                                 self._now(message.enqueued_at),
-                                 "dead-letter", msg=message.id,
-                                 attempts=message.attempts)
 
     def dead_letter_ids(self) -> List[int]:
         return [m.id for m in self.dead_letters]

@@ -135,9 +135,10 @@ class OperationContext:
         """Capture this message's reply for later resolution."""
         return Deferred(self.cluster, self.message.reply_to)
 
-    def trace(self, kind: str, **detail: Any) -> None:
-        self.cluster.trace.record(self.now, kind, node=self.instance.node.id,
-                                  **detail)
+    def event(self, kind: str, **attrs: Any) -> None:
+        """Record a point event under this window's current span."""
+        self.cluster.tracer.event(kind, self.now + self.charged,
+                                  self.span_id, **attrs)
 
 
 class Deferred:

@@ -83,7 +83,6 @@ class DurableStore(ShardedStore):
         self.deferred_ops = 0
         self.auto_commits = 0
         self.shared_flushes = 0
-        self.recoveries = 0
         self.checkpoint_seconds = 0.0
         #: observability wiring: recovery counts into ``metrics`` and
         #: emits a span when a tracer is attached.  The store is built
@@ -300,7 +299,6 @@ class DurableStore(ShardedStore):
                 recovered += 1
         cost = self.cost(self.journal.storage.size())
         self._account(cost)
-        self.recoveries += 1
         report = {
             "recovered_keys": recovered,
             "deleted_keys": deleted,
@@ -313,9 +311,9 @@ class DurableStore(ShardedStore):
         }
         if span_id:
             if replay["tail_error"]:
-                self.tracer.annotate(span_id, now, "journal.torn-tail",
-                                     error=replay["tail_error"],
-                                     bytes_dropped=replay["tail_bytes_dropped"])
+                self.tracer.event("journal.torn-tail", now, span_id,
+                                  error=replay["tail_error"],
+                                  bytes_dropped=replay["tail_bytes_dropped"])
             self.tracer.end(span_id, now + cost, **{
                 k: v for k, v in report.items() if k != "replay_cost_s"})
         self.metrics.counter("store.recovery.runs").inc()
@@ -341,6 +339,6 @@ class DurableStore(ShardedStore):
             "auto_commits": self.auto_commits,
             "shared_flushes": self.shared_flushes,
         }
-        snap["recoveries"] = self.recoveries
+        snap["recoveries"] = self.metrics.get("store.recovery.runs")
         snap["checkpoint_seconds"] = self.checkpoint_seconds
         return snap

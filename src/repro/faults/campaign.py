@@ -143,8 +143,9 @@ class CampaignReport:
         return self.env.cluster.queue.duplicated
 
     def signature(self, *kinds: str):
-        """Hashable trace signature for replay-determinism assertions."""
-        return self.env.cluster.trace.signature(*kinds)
+        """Hashable span signature for replay-determinism assertions
+        (:meth:`~repro.observe.spans.SpanTracer.signature`)."""
+        return self.env.tracer.signature(*kinds)
 
     # -- recovery invariants (the lease-recovery campaign's verdict) -------
 

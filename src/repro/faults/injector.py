@@ -14,9 +14,9 @@ interception hooks.  ``install(env)`` wires it into a
 * time-triggered crashes/restarts are scheduled on the virtual clock at
   install time.
 
-Every injected fault is recorded as a ``fault.injected`` trace event
-and counted, so a campaign can assert it actually exercised what it
-claims to.  All randomness comes from ``random.Random(seed)``: the same
+Every injected fault is recorded as a ``fault`` point event (named
+``fault.<action>``, under the span it hit or as a root) and counted,
+so a campaign can assert it actually exercised what it claims to.  All randomness comes from ``random.Random(seed)``: the same
 ``(seed, plan)`` replays bit-identically.
 """
 
@@ -118,15 +118,13 @@ class FaultInjector:
         self.injected[action] = self.injected.get(action, 0) + 1
         if self.env is not None:
             cluster = self.env.cluster
-            cluster.trace.record(cluster.kernel.now, "fault.injected",
-                                 action=action, **detail)
             cluster.metrics.counter("fault.injected").inc()
             cluster.metrics.counter(f"fault.injected.{action}").inc()
-            if span and cluster.tracer.enabled:
-                # faults become annotations on the span they hit, so a
-                # rendered task tree shows exactly where chaos struck
-                cluster.tracer.annotate(span, cluster.kernel.now,
-                                        f"fault.{action}", **detail)
+            # a point event under the span the fault hit, so a rendered
+            # task tree shows exactly where chaos struck
+            cluster.tracer.event("fault", cluster.kernel.now, span,
+                                 name=f"fault.{action}", action=action,
+                                 **detail)
 
     def total_injected(self) -> int:
         return sum(self.injected.values())

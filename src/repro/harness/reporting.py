@@ -67,7 +67,7 @@ def ratio_check(name: str, measured: float, expected: float,
 def observability_tables(env) -> str:
     """The environment's observability report (repro.observe) rendered
     in the harness table format: histogram percentiles, span counts by
-    kind, trace-log health and cache hit rates."""
+    kind and cache hit rates."""
     report = env.observability_report()
     blocks = []
     hists = report["metrics"]["histograms"]
@@ -85,10 +85,7 @@ def observability_tables(env) -> str:
     blocks.append(table(
         "Caches", ["cache", "hit rate"],
         sorted(report["cache_hit_rates"].items())))
-    log = report["trace_log"]
-    blocks.append(f"trace log: {log['events']} events, "
-                  f"{log['dropped']} dropped "
-                  f"(virtual time {format_value(report['virtual_time'])}s)")
+    blocks.append(f"virtual time {format_value(report['virtual_time'])}s")
     return "\n\n".join(blocks)
 
 

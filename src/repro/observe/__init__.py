@@ -11,7 +11,9 @@ that layer for the reproduction:
   :class:`~repro.bluebox.messagequeue.Message` headers, fiber state and
   the Vinz service loop, so one task's full distributed lifetime
   reconstructs as a tree even across node migrations and fault-driven
-  redeliveries.
+  redeliveries.  It is the platform's only event record: instants
+  (faults, dead letters, ...) are zero-length point-event spans in the
+  same tree.
 * :mod:`repro.observe.metrics` — a :class:`MetricsRegistry` of
   counters, gauges and fixed-bucket histograms with p50/p95/p99
   snapshots (queue wait, fiber resume latency, blob sizes, ...).  It is

@@ -3,7 +3,8 @@
 The Chrome format is the JSON array/object understood by Perfetto
 (https://ui.perfetto.dev) and the legacy ``chrome://tracing`` viewer:
 each finished span becomes a complete event (``"ph": "X"``) with
-microsecond ``ts``/``dur``; nodes map to processes (``pid`` plus a
+microsecond ``ts``/``dur``, and each point event an instant event
+(``"ph": "i"``) on its parent span's track; nodes map to processes (``pid`` plus a
 ``process_name`` metadata record) and fibers to threads, so one task's
 migration across machines is visible as its spans jumping between
 process tracks.  Parent links travel in ``args`` (``span``/``parent``),
@@ -29,7 +30,7 @@ def _jsonable(value: Any) -> Any:
 
 
 def chrome_trace_events(tracer: SpanTracer) -> List[Dict[str, Any]]:
-    """Every span (and annotation) as a ``trace_event`` record."""
+    """Every span and point event as a ``trace_event`` record."""
     events: List[Dict[str, Any]] = []
     pids: Dict[str, int] = {}
     tids: Dict[str, int] = {}
@@ -52,38 +53,27 @@ def chrome_trace_events(tracer: SpanTracer) -> List[Dict[str, Any]]:
         return tid
 
     for span in tracer.spans():
-        node = span.attrs.get("node")
+        # a point event draws on the track of the span it happened in
+        track = (tracer.get(span.parent_id) if span.point else None) or span
+        where = {**track.attrs, **span.attrs}
+        node = where.get("node")
         if node is None:
-            node = "queue" if span.kind == "queue-hop" else "platform"
+            node = "queue" if track.kind == "queue-hop" else "platform"
         pid = pid_for(str(node))
-        lane = span.attrs.get("fiber") or span.attrs.get("task") or span.kind
+        lane = where.get("fiber") or where.get("task") or track.kind
         tid = tid_for(pid, str(lane))
-        end = span.end if span.end is not None else span.start
         args = {"span": span.id, "parent": span.parent_id}
         for key, value in span.attrs.items():
             args[key] = _jsonable(value)
-        events.append({
-            "name": span.name,
-            "cat": span.kind,
-            "ph": "X",
-            "ts": span.start * _US,
-            "dur": max(end - span.start, 0.0) * _US,
-            "pid": pid,
-            "tid": tid,
-            "args": args,
-        })
-        for time, name, attrs in span.annotations:
-            events.append({
-                "name": name,
-                "cat": "annotation",
-                "ph": "i",
-                "s": "t",
-                "ts": time * _US,
-                "pid": pid,
-                "tid": tid,
-                "args": {"span": span.id,
-                         **{k: _jsonable(v) for k, v in attrs.items()}},
-            })
+        event = {"name": span.name, "cat": span.kind, "ph": "X",
+                 "ts": span.start * _US, "pid": pid, "tid": tid,
+                 "args": args}
+        if span.point:
+            event.update(ph="i", s="t")
+        else:
+            end = span.end if span.end is not None else span.start
+            event["dur"] = max(end - span.start, 0.0) * _US
+        events.append(event)
     return events
 
 
@@ -105,21 +95,19 @@ def span_tree_from_events(events: List[Dict[str, Any]]) -> Dict[int, int]:
     consumer (or a test) uses to rebuild the causal tree from the JSON
     alone, without the live tracer."""
     return {e["args"]["span"]: e["args"]["parent"]
-            for e in events
-            if e.get("ph") == "X" and "span" in e.get("args", {})}
+            for e in events if "span" in e.get("args", {})}
 
 
 def json_report(env) -> Dict[str, Any]:
     """The plain-JSON observability report for a VinzEnvironment:
     metrics snapshot (every counter, gauge and histogram, with
-    percentiles), span summary, trace-log health and cache hit rates —
+    percentiles), span summary and cache hit rates —
     everything the harness needs to publish."""
     cluster = env.cluster
     return {
         "virtual_time": cluster.kernel.now,
         "metrics": cluster.metrics.snapshot(),
         "spans": cluster.tracer.summary(),
-        "trace_log": cluster.trace.snapshot(),
         "cache_hit_rates": env.cache_hit_rates(),
         "store": env.store.stats_snapshot(),
         "history": (env.history.summary()

@@ -1,4 +1,4 @@
-"""Causal spans: the tree-shaped upgrade of the flat TraceLog.
+"""Causal spans: the platform's one event record.
 
 A :class:`Span` is a named interval of virtual (or real) time with a
 parent link; a :class:`SpanTracer` owns them.  The span kinds the
@@ -26,10 +26,11 @@ queue-hop span whose parent is the message's **original** hop span
 belong to instead of dangling.
 
 Zero-cost-when-disabled contract: when ``enabled`` is False,
-:meth:`SpanTracer.begin` returns 0 without allocating a Span, and every
-call site in the platform guards on the single ``enabled`` flag before
-building keyword arguments.  ``spans_created`` stays 0 for a disabled
-run — tests assert exactly that.
+:meth:`SpanTracer.begin` and :meth:`SpanTracer.event` return 0 without
+allocating a Span, and every hot-path call site guards on the single
+``enabled`` flag before building keyword arguments (point events are
+rare, so their call sites do not).  ``spans_created`` stays 0 for a
+disabled run — tests assert exactly that.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class Span:
     """One timed interval in the causal tree."""
 
     __slots__ = ("id", "parent_id", "name", "kind", "start", "end",
-                 "attrs", "annotations")
+                 "attrs", "point")
 
     def __init__(self, span_id: int, parent_id: int, name: str, kind: str,
                  start: float, attrs: Dict[str, Any]):
@@ -52,8 +53,8 @@ class Span:
         self.start = start
         self.end: Optional[float] = None
         self.attrs = attrs
-        #: point-in-time marks inside the span: (time, name, attrs)
-        self.annotations: List[Tuple[float, str, Dict[str, Any]]] = []
+        #: a point event (SpanTracer.event) begins and ends at once
+        self.point = False
 
     @property
     def duration(self) -> Optional[float]:
@@ -110,14 +111,16 @@ class SpanTracer:
         if attrs:
             span.attrs.update(attrs)
 
-    def annotate(self, span_id: int, time: float, name: str,
-                 **attrs: Any) -> None:
-        """Attach a point-in-time mark (e.g. an injected fault)."""
-        if not self.enabled or not span_id:
-            return
-        span = self._spans.get(span_id)
-        if span is not None:
-            span.annotations.append((time, name, attrs))
+    def event(self, kind: str, time: float, parent_id: Optional[int] = None,
+              name: Optional[str] = None, **attrs: Any) -> int:
+        """Record a point event under ``parent_id`` (a root when 0 or
+        None); returns its id (0 when tracing is disabled)."""
+        span_id = self.begin(name or kind, kind, time, parent_id, **attrs)
+        if span_id:
+            span = self._spans[span_id]
+            span.point = True
+            span.end = time
+        return span_id
 
     # ------------------------------------------------------------------
     # querying
@@ -183,6 +186,16 @@ class SpanTracer:
             stack.extend(reversed(index.get(span.id, [])))
         return out
 
+    def signature(self, *kinds: str) -> Tuple[Tuple[Any, ...], ...]:
+        """A hashable, order-preserving fingerprint of every span (or
+        of the spans of ``kinds``), for replay assertions: two runs of
+        the same seeded campaign must produce equal signatures."""
+        wanted = set(kinds)
+        return tuple(
+            (s.id, s.parent_id, s.kind, s.name, s.start, s.end,
+             tuple(sorted((k, repr(v)) for k, v in s.attrs.items())))
+            for s in self._spans.values() if not wanted or s.kind in wanted)
+
     def verify_parents(self) -> List[Span]:
         """Spans whose parent id doesn't resolve — integrity check."""
         return [s for s in self._spans.values()
@@ -207,21 +220,27 @@ class SpanTracer:
     # ------------------------------------------------------------------
 
     def render_tree(self, root: Span,
-                    attr_keys: Iterable[str] = ("node", "msg", "attempt",
-                                                "retry_of", "bytes")) -> str:
-        """Indented text rendering of a span subtree."""
+                    attr_keys: Iterable[str] = (
+                        "node", "msg", "attempt", "retry_of", "resume",
+                        "suspend", "bytes", "status", "requeued",
+                        "error")) -> str:
+        """Indented text rendering of a span subtree; a point event
+        renders as ``@ time name`` with all its attributes."""
         index = self.child_index()
         lines: List[str] = []
 
         def visit(span: Span, depth: int) -> None:
+            if span.point:
+                bits = " ".join(f"{k}={v}" for k, v in span.attrs.items())
+                lines.append(f"{'  ' * depth}@ {span.start:.3f} {span.name}"
+                             + (f" {bits}" if bits else ""))
+                return
             end = f"{span.end:.3f}" if span.end is not None else "..."
             bits = " ".join(f"{k}={span.attrs[k]}" for k in attr_keys
                             if k in span.attrs)
             lines.append(f"{'  ' * depth}{span.kind} {span.name} "
                          f"[{span.start:.3f} -> {end}]"
                          + (f" {bits}" if bits else ""))
-            for time, name, _attrs in span.annotations:
-                lines.append(f"{'  ' * (depth + 1)}@ {time:.3f} {name}")
             for child in index.get(span.id, []):
                 visit(child, depth + 1)
 

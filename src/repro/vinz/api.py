@@ -60,7 +60,6 @@ class VinzEnvironment:
                  lock_quirk_delay: float = 0.0,
                  taskvar_lock_overhead: float = 0.002,
                  trace: bool = True,
-                 spans: Optional[bool] = None,
                  placement: str = "balanced",
                  retry_policy=None,
                  scheduler: Any = None,
@@ -82,7 +81,7 @@ class VinzEnvironment:
         #: ``spawn_limit="auto"`` deployments.  All default to the
         #: paper's behaviour.  See repro.sched / docs/scheduler.md.
         self.cluster = Cluster(seed=seed, trace=trace,
-                               retry_policy=retry_policy, spans=spans,
+                               retry_policy=retry_policy,
                                scheduler=scheduler, admission=admission)
         self.cluster.add_nodes(nodes, slots=slots)
         #: the cluster's metrics registry (repro.observe), the one
@@ -500,12 +499,11 @@ class VinzEnvironment:
             "utilization": self.cluster.utilization(),
             "peak_task_concurrency": self.tasks_in_flight.peak,
             "peak_fiber_concurrency": self.fibers_in_flight.peak,
-            "trace": self.cluster.trace.snapshot(),
             "spans": self.cluster.tracer.summary(),
         }
 
     def observability_report(self) -> Dict[str, Any]:
         """The plain-JSON observability report: metrics percentiles,
-        span summary, trace-log health, cache hit rates."""
+        span summary, cache hit rates."""
         from ..observe.export import json_report
         return json_report(self)

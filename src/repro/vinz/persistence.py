@@ -118,9 +118,7 @@ class FiberCodec:
             raise ValueError(f"unknown codec {codec!r}")
         self.codec = codec
         self.table = ProgramTable(registry, hosts)
-        # statistics
-        self.encoded = 0
-        self.decoded = 0
+        # statistics; encode/decode counts are the histograms' counts
         self.raw_bytes = 0
         self.stored_bytes = 0
         metrics = metrics or MetricsRegistry()
@@ -145,7 +143,6 @@ class FiberCodec:
             payload = gzip.compress(raw, compresslevel=GZIP_LEVEL)
         else:  # deflate and custom
             payload = zlib.compress(raw, DEFLATE_LEVEL)
-        self.encoded += 1
         self.raw_bytes += len(raw)
         blob = MAGIC + self.NAMES[self.codec] + payload
         self.stored_bytes += len(blob)
@@ -185,7 +182,6 @@ class FiberCodec:
         else:
             state = self.deserialize_state(raw, fiber_id=fiber_id,
                                            codec_name=codec_name)
-        self.decoded += 1
         self._decode_bytes.observe(len(blob))
         return state
 

@@ -125,22 +125,22 @@ class RecoveryScanner:
                 continue
             self._locks_expired.inc()
             self._latency.observe(now - lease.renewed_at)
-            cluster.trace.record(now, "lease-expired", key=lease.key,
-                                 owner=evicted, reason=reason)
             tracer = cluster.tracer
+            span = 0
             if tracer.enabled:
                 span = tracer.begin("recovery.expire", kind="recovery",
                                     start=lease.renewed_at, key=lease.key,
                                     owner=evicted, reason=reason)
                 tracer.end(span, end=now)
             if lease.key.startswith("fiber/"):
-                self._reawaken(lease.key[len("fiber/"):], reason)
+                self._reawaken(lease.key[len("fiber/"):], reason, span)
         delay = self._next_delay()
         if delay is not None:
             self._arm(delay)
 
-    def _reawaken(self, fiber_id: str, reason: str) -> None:
-        """Idempotently re-enqueue the orphaned fiber's awaken message.
+    def _reawaken(self, fiber_id: str, reason: str, span: int) -> None:
+        """Idempotently re-enqueue the orphaned fiber's awaken message
+        (a ``fiber-reawakened`` point event under the expiry ``span``).
 
         Same message id as the original delivery, so receivers treat it
         exactly like a queue-level duplicate: if the fiber already
@@ -156,7 +156,7 @@ class RecoveryScanner:
         cluster.kernel.schedule(cluster.delivery_latency,
                                 lambda s=message.service: cluster._kick(s))
         self._reawakened.inc()
-        cluster.trace.record(cluster.kernel.now, "fiber-reawakened",
+        cluster.tracer.event("fiber-reawakened", cluster.kernel.now, span,
                              fiber=fiber_id, msg=message.id, reason=reason)
 
     # ------------------------------------------------------------------

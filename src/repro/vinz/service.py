@@ -247,7 +247,7 @@ class WorkflowService(Service):
             if existing is not None:
                 # duplicate delivery of the same creation message:
                 # idempotently return the task it already created
-                ctx.trace("task-start-duplicate", task=existing.id,
+                ctx.event("task-start-duplicate", task=existing.id,
                           msg=msg_id)
                 return existing
         task = registry.new_task(self.name, params, ctx.now)
@@ -295,7 +295,6 @@ class WorkflowService(Service):
         # immutable data: parameters + workflow identity)
         env_blob = self.codec.dumps({"workflow": self.name, "params": params})
         ctx.charge(self.vinz.store.write(self._task_env_key(task.id), env_blob))
-        ctx.trace("task-start", task=task.id, fiber=fiber.id)
         self.vinz.monitor_task_started(task, ctx.now)
         monitored[0] = True
         recorder = self.vinz.history
@@ -355,7 +354,6 @@ class WorkflowService(Service):
         if not task.finished:
             self._finish_task(ctx, task, TERMINATED,
                               error="terminated by management operation")
-            ctx.trace("task-terminate", task=task.id)
         return True
 
     def _finish_task(self, ctx: OperationContext, task: TaskRecord,
@@ -462,7 +460,7 @@ class WorkflowService(Service):
             if not fiber.finished:
                 registry.finish_fiber(fiber, TERMINATED, ctx.now)
                 self.vinz.monitor_fiber_finished(fiber, ctx.now)
-            ctx.trace("fiber-skip-terminated", task=task.id, fiber=fiber.id)
+            ctx.event("fiber-skip-terminated", task=task.id, fiber=fiber.id)
             return None
         if fiber.finished:
             return None
@@ -472,7 +470,7 @@ class WorkflowService(Service):
         # crash redeliveries still replay)
         msg_id = ctx.message.id
         if msg_id in fiber.processed_deliveries:
-            ctx.trace("fiber-skip-duplicate", task=task.id, fiber=fiber.id,
+            ctx.event("fiber-skip-duplicate", task=task.id, fiber=fiber.id,
                       msg=msg_id)
             return None
 
@@ -574,8 +572,6 @@ class WorkflowService(Service):
             # the event replay re-delivers at this suspension point
             recorder.record(ctx, task.id, hist.resume_kind_for(waited),
                             fiber=fiber.id, value=value)
-        ctx.trace("fiber-run", task=task.id, fiber=fiber.id,
-                  resume=resume, version=fiber.version)
         charged_before = ctx.charged
         instructions_before = vm.instruction_count
         tracer = ctx.cluster.tracer
@@ -592,6 +588,7 @@ class WorkflowService(Service):
                 version=fiber.version, node=ctx.node.id)
             # sends and persistence during this advancement parent here
             ctx.span_id = run_span
+        suspended = None
         try:
             if not resume:
                 outcome = self._start_fresh(ctx, vm, task, fiber)
@@ -602,7 +599,8 @@ class WorkflowService(Service):
                 self._fiber_completed(ctx, task, fiber, outcome.value)
                 return None
             assert isinstance(outcome, Yielded)
-            self._fiber_suspended(ctx, cache, task, fiber, outcome)
+            suspended = self._fiber_suspended(ctx, cache, task, fiber,
+                                              outcome)
             return None
         except (distribution.VinzBreak,):
             self._fiber_completed(ctx, task, fiber, None)
@@ -638,7 +636,8 @@ class WorkflowService(Service):
                 ctx.span_id = prev_span
                 tracer.end(run_span, end=ctx.now + ctx.charged,
                            instructions=(vm.instruction_count
-                                         - instructions_before))
+                                         - instructions_before),
+                           **({"suspend": suspended} if suspended else {}))
 
     def _affinity_for(self, fiber: FiberRecord):
         """Placement hint for a message that will run ``fiber`` next.
@@ -742,7 +741,6 @@ class WorkflowService(Service):
         registry.finish_fiber(fiber, COMPLETED, ctx.now, result=result)
         self._reclaim(ctx, self._state_key(fiber.id),
                       self._thunk_key(fiber.id))
-        ctx.trace("fiber-complete", task=task.id, fiber=fiber.id)
         self.vinz.monitor_fiber_finished(fiber, ctx.now)
         self._notify_fiber_waiters(ctx, fiber)
         if fiber.chain_group is not None:
@@ -758,7 +756,6 @@ class WorkflowService(Service):
                      affinity=self._affinity_for(parent) if parent else None)
         if fiber.parent_id is None and not task.finished:
             self._finish_task(ctx, task, COMPLETED, result=result)
-            ctx.trace("task-complete", task=task.id)
 
     def _advance_chain(self, ctx: OperationContext, task: TaskRecord,
                        fiber: FiberRecord) -> None:
@@ -777,7 +774,7 @@ class WorkflowService(Service):
                      max_attempts=self.FIBER_MESSAGE_ATTEMPTS,
                      parent_span=(next_record.span_id if next_record
                                   else None))
-            ctx.trace("chain-next", task=task.id, fiber=fiber.id,
+            ctx.event("chain-next", task=task.id, fiber=fiber.id,
                       child=next_child)
         group["remaining"] -= 1
         if group["remaining"] <= 0:
@@ -800,7 +797,6 @@ class WorkflowService(Service):
                             fiber=fiber.id, error=error)
         registry.finish_fiber(fiber, ERROR, ctx.now, error=error)
         self._reclaim(ctx, self._state_key(fiber.id))
-        ctx.trace("fiber-error", task=task.id, fiber=fiber.id, error=error)
         self.vinz.monitor_fiber_finished(fiber, ctx.now)
         self._notify_fiber_waiters(ctx, fiber)
         if fiber.chain_group is not None:
@@ -814,17 +810,16 @@ class WorkflowService(Service):
                      affinity=self._affinity_for(parent) if parent else None)
         if terminate_task and not task.finished:
             self._finish_task(ctx, task, ERROR, error=error)
-            ctx.trace("task-error", task=task.id, error=error)
 
     def _fiber_suspended(self, ctx: OperationContext, cache, task: TaskRecord,
-                         fiber: FiberRecord, outcome: Yielded) -> None:
+                         fiber: FiberRecord, outcome: Yielded) -> str:
+        """Persist the yielded fiber and arrange its wake-up; returns
+        what it waits on (the run span's ``suspend`` attribute)."""
         descriptor = outcome.value if isinstance(outcome.value, dict) else \
             {"kind": "await"}
         kind = descriptor.get("kind", "await")
         fiber.waiting_on = kind
         self._persist_continuation(ctx, cache, fiber, outcome.continuation)
-        ctx.trace("fiber-suspend", task=task.id, fiber=fiber.id, why=kind,
-                  version=fiber.version)
         recorder = self.vinz.history
         if recorder is not None:
             recorder.record(
@@ -860,13 +855,12 @@ class WorkflowService(Service):
         else:
             raise ServiceFault(self.wsdl.fault_qname("BadYield"),
                                f"unknown yield descriptor {kind!r}")
+        return kind
 
     def _send_service_request(self, ctx: OperationContext, fiber: FiberRecord,
                               descriptor: Dict[str, Any]) -> None:
         service_name, operation = self.vinz.resolve_soap_action(
             descriptor["soap_action"])
-        ctx.trace("service-request", task=fiber.task_id, fiber=fiber.id,
-                  service=service_name, operation=operation)
         ctx.send(service_name, operation, dict(descriptor.get("values") or {}),
                  reply_to=ReplyTo(service=self.name,
                                   operation="ResumeFromCall",
@@ -1086,9 +1080,6 @@ class WorkflowService(Service):
         continuation, instructions = self.vinz.replayer.rebuild(
             self, fiber, fiber.version, base=base)
         ctx.charge(instructions * self.instruction_cost)
-        ctx.trace("fiber-rebuild", task=fiber.task_id, fiber=fiber.id,
-                  version=fiber.version,
-                  base=(base[1] if base is not None else None))
         if cache is not None:
             cache.put_continuation(fiber.id, fiber.version, continuation)
         return continuation
@@ -1137,7 +1128,7 @@ class WorkflowService(Service):
             try:
                 ctx.charge(store.delete(key))
             except StoreError:
-                ctx.trace("reclaim-skipped", key=key)
+                ctx.event("reclaim-skipped", key=key)
                 self.vinz.metrics.counter("store.reclaim-skipped").inc()
 
     @staticmethod
@@ -1177,8 +1168,8 @@ class _OutOfBandContext:
         """Out-of-band IO has no window to bill — the cost is absorbed
         (the store's own io_seconds still count it)."""
 
-    def trace(self, kind: str, **detail) -> None:
-        self.cluster.trace.record(self.now, kind, **detail)
+    def event(self, kind: str, **attrs) -> None:
+        self.cluster.tracer.event(kind, self.now, 0, **attrs)
 
 
 def deliver_collected(vm, child_ids: List[str], triples) -> List[Any]:
@@ -1294,8 +1285,6 @@ class FiberExecution:
         blob = self.service.codec.dumps((fn, list(args)))
         self.ctx.charge(vinz.store.write(
             self.service._thunk_key(child.id), blob))
-        self.ctx.trace("fiber-fork", task=self.task.id,
-                       fiber=self.fiber.id, child=child.id)
         vinz.monitor_fiber_started(child, self.ctx.now)
         monitored[0] = True
         self.ctx.send(self.service.name, "RunFiber",
@@ -1378,9 +1367,6 @@ class FiberExecution:
                               self.task, PRIORITY_NORMAL),
                           max_attempts=self.service.FIBER_MESSAGE_ATTEMPTS,
                           parent_span=vinz.registry.fibers[child_id].span_id)
-        self.ctx.trace("chain-fork", task=self.task.id,
-                       fiber=self.fiber.id, children=len(children),
-                       launched=min(limit, len(children)))
         if not children:
             # empty chain: awaken the parent immediately
             self.ctx.send(self.service.name, "AwakeFiber",
@@ -1482,7 +1468,7 @@ class FiberExecution:
             size = int(self.service.auto_chunk_target / avg)
             chosen = max(1, min(size, 64))
             self.service.vinz.metrics.counter("autochunk.decisions").inc()
-            self.ctx.trace("auto-chunk", task=self.task.id,
+            self.ctx.event("auto-chunk", task=self.task.id,
                            fiber=self.fiber.id, avg_item=round(avg, 4),
                            size=chosen)
             return chosen

@@ -152,10 +152,8 @@ class TestFailureInjection:
         responses = []
         cluster.send("S", "Slow", {},
                      reply_to=ReplyTo(callback=responses.append))
-        cluster.run_until(
-            lambda: any(e.kind == "deliver" for e in cluster.trace.events))
-        victim = [e for e in cluster.trace.events
-                  if e.kind == "deliver"][0].detail["node"]
+        cluster.run_until(lambda: cluster.tracer.of_kind("operation"))
+        victim = cluster.tracer.of_kind("operation")[0].attrs["node"]
         assert cluster.fail_node(victim) == 1
         cluster.run_until_idle()
         assert len(responses) == 1

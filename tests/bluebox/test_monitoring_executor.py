@@ -1,40 +1,6 @@
-"""Monitoring tests: trace log, registry counters, concurrency gauges."""
+"""Monitoring tests: registry counters and concurrency gauges."""
 
-from repro.bluebox.monitoring import TraceLog
 from repro.observe import MetricsRegistry
-
-
-class TestTraceLog:
-    def test_record_and_query(self):
-        log = TraceLog()
-        log.record(1.0, "enqueue", task="t1")
-        log.record(2.0, "deliver", task="t1")
-        log.record(3.0, "enqueue", task="t2")
-        assert len(log.of_kind("enqueue")) == 2
-        assert len(log.for_task("t1")) == 2
-
-    def test_disabled_records_nothing(self):
-        log = TraceLog(enabled=False)
-        log.record(1.0, "x")
-        assert log.events == []
-
-    def test_capacity_cap(self):
-        log = TraceLog(capacity=2)
-        for i in range(5):
-            log.record(float(i), "e")
-        assert len(log.events) == 2
-
-    def test_render_format(self):
-        log = TraceLog()
-        log.record(1.5, "deliver", node="n1")
-        text = log.render()
-        assert "deliver" in text and "node=n1" in text
-
-    def test_where_predicate(self):
-        log = TraceLog()
-        log.record(1.0, "a", n=1)
-        log.record(2.0, "a", n=2)
-        assert len(log.where(lambda e: e.detail["n"] > 1)) == 1
 
 
 class TestCounters:

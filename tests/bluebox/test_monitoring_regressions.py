@@ -1,50 +1,15 @@
 """Regression tests for monitoring correctness fixes.
 
-Each test pins a bug that previously passed silently: capped trace logs
-dropped events without a trace, truncated logs could still vouch for
-replay signatures, counters raced under real threads, and the
-concurrency mean was diluted with absolute (not elapsed) time.
+Each test pins a bug that previously passed silently: counters raced
+under real threads, and the concurrency mean was diluted with absolute
+(not elapsed) time.
 """
 
 import threading
 
 import pytest
 
-from repro.bluebox.monitoring import TraceLog, TraceTruncatedError
 from repro.observe import MetricsRegistry
-
-
-class TestTraceLogTruncation:
-    def test_drops_are_counted_not_silent(self):
-        log = TraceLog(capacity=2)
-        for i in range(5):
-            log.record(float(i), "evt", n=i)
-        assert len(log.events) == 2
-        assert log.dropped == 3
-        assert log.snapshot() == {"events": 2, "capacity": 2, "dropped": 3}
-
-    def test_signature_refuses_truncated_stream(self):
-        log = TraceLog(capacity=1)
-        log.record(0.0, "a")
-        log.record(1.0, "b")
-        with pytest.raises(TraceTruncatedError):
-            log.signature()
-
-    def test_signature_works_when_nothing_dropped(self):
-        log = TraceLog(capacity=10)
-        log.record(0.0, "a", x=1)
-        log.record(1.0, "b")
-        assert log.signature() == log.signature()
-        assert len(log.signature("a")) == 1
-
-    def test_clear_resets_dropped(self):
-        log = TraceLog(capacity=1)
-        log.record(0.0, "a")
-        log.record(1.0, "b")
-        log.clear()
-        assert log.dropped == 0
-        log.record(2.0, "c")
-        assert log.signature() != ()
 
 
 class TestCountersThreadSafety:

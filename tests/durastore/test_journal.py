@@ -230,7 +230,8 @@ def test_recover_rebuilds_committed_state_only():
     assert store.read("committed/a") == b"alpha"
     assert not store.exists("committed/b")
     assert not store.exists("uncommitted/c")
-    assert store.recoveries == 1
+    assert store.metrics.get("store.recovery.runs") == 1
+    assert store.stats_snapshot()["recoveries"] == 1
 
 
 def test_recover_drops_torn_tail():

@@ -8,6 +8,8 @@ bit-identical trace, and dead-letter tests asserting that exhausted
 messages fail loudly through the condition system instead of hanging.
 """
 
+import re
+
 import pytest
 
 from repro.bluebox.services import simple_service
@@ -79,9 +81,10 @@ class TestFaultMatrix:
         assert report.statuses == {COMPLETED: 2}
         assert report.injected.get(DROP) == 3
         assert report.redelivered >= 3
-        # retries were traced with their backoff
-        assert any(e.kind == "retry.scheduled"
-                   for e in report.env.cluster.trace.events)
+        # every retry is a queue hop linked to the message's first hop
+        retries = [s for s in report.env.tracer.of_kind("queue-hop")
+                   if "retry_of" in s.attrs]
+        assert len(retries) >= 3
 
     def test_duplicate_fault_is_idempotent(self):
         plan = FaultPlan([MessageFault(DUPLICATE, nth=1, count=4)],
@@ -108,6 +111,9 @@ class TestReplayDeterminism:
         second = run_campaign(self.KNOWN_PLAN, seed=7, tasks=3, nodes=3)
         assert first.signature() == second.signature()
         assert first.injected == second.injected
+        # the record is whole: every parent resolves, nothing left open
+        assert first.env.tracer.verify_parents() == []
+        assert first.env.tracer.open_spans() == []
         # and the run did real work under real damage
         assert first.statuses == {COMPLETED: 3}
         assert sum(first.injected.values()) >= 3
@@ -118,13 +124,13 @@ class TestReplayDeterminism:
         assert first.signature() != other.signature()
 
     def test_fault_events_replay_identically(self):
-        """The fault-event subset of the trace is also stable (the
+        """The fault sub-stream of the span record is also stable (the
         injector's own decisions are part of the replay contract)."""
-        kinds = ("fault.injected", "retry.scheduled", "deadletter.enqueued")
+        kinds = ("fault", "queue-hop", "dead-letter")
         first = run_campaign(self.KNOWN_PLAN, seed=21, tasks=2, nodes=3)
         second = run_campaign(self.KNOWN_PLAN, seed=21, tasks=2, nodes=3)
         assert first.signature(*kinds) == second.signature(*kinds)
-        assert len(first.signature("fault.injected")) \
+        assert len(first.signature("fault")) \
             == sum(first.injected.values())
 
 
@@ -145,8 +151,35 @@ class TestDeadLetterLiveness:
         assert report.dead_lettered == 2
         for task in report.env.registry.tasks.values():
             assert "dead-lettered" in (task.error or "")
-        trace_kinds = [e.kind for e in report.env.cluster.trace.events]
-        assert trace_kinds.count("deadletter.enqueued") == 2
+        assert len(report.env.tracer.of_kind("dead-letter")) == 2
+
+    def test_rendered_lifetime_marks_rolled_back_forks(self):
+        """An aborted window rolls back the children it forked.  The
+        rendered lifetime of each task may show such a fork only
+        marked ``status=discarded``: every other fiber it shows must
+        be a live record in the registry."""
+        plan = FaultPlan([StoreFault(FAIL_WRITE, key_prefix="fiber-state/",
+                                     nth=1, count=10_000)],
+                         name="persist-storm")
+        report = run_campaign(plan, seed=5, tasks=2, nodes=2,
+                              retry_policy=self.TIGHT)
+        env = report.env
+        fiber_line = re.compile(r"^\s*fiber fiber:(\S+) \[.*?\](.*)$")
+        discarded = 0
+        for task_id in env.registry.tasks:
+            text = env.tracer.render_tree(env.tracer.task_root(task_id))
+            for line in text.splitlines():
+                match = fiber_line.match(line)
+                if match is None:
+                    continue
+                fiber_id, attrs = match.groups()
+                if "status=discarded" in attrs.split():
+                    assert fiber_id not in env.registry.fibers, line
+                    discarded += 1
+                else:
+                    assert fiber_id in env.registry.fibers, line
+        # the storm really did roll forks back
+        assert discarded > 0
 
     def test_dead_letters_are_retained_for_inspection(self):
         plan = FaultPlan([StoreFault(FAIL_WRITE, nth=1, count=10_000)],
@@ -163,9 +196,9 @@ class TestDeadLetterLiveness:
                          name="heavy-drops")
         report = run_campaign(plan, seed=77, tasks=2, nodes=2,
                               retry_policy=self.TIGHT.with_max_attempts(2))
-        completed = {d["msg"] for e in report.env.cluster.trace.events
-                     if e.kind == "complete"
-                     for d in (e.detail,) if "msg" in d}
+        completed = {s.attrs["msg"]
+                     for s in report.env.tracer.of_kind("operation")
+                     if "ok" in s.attrs}
         assert completed.isdisjoint(report.env.cluster.queue.dead_letter_ids())
 
 

@@ -60,7 +60,7 @@ class TestListing1:
 
 class TestFigure1Lifetime:
     """Reconstruct the paper's Figure 1: the lifetime of one workflow
-    task, as a causally ordered event trace."""
+    task, as its causal span tree."""
 
     def _run_sample_workflow(self):
         env = VinzEnvironment(nodes=3, seed=18)
@@ -83,21 +83,26 @@ class TestFigure1Lifetime:
 
     def test_lifetime_phases_in_order(self):
         env, task_id = self._run_sample_workflow()
-        events = env.cluster.trace.for_task(task_id)
-        kinds = [e.kind for e in events]
+        tree = env.tracer.task_tree(task_id)
+        by_id = {span.id: span for span in tree}
+        root = tree[0]
+        runs = [s for s in tree if s.kind == "fiber-run"]
+        fibers = [s for s in tree if s.kind == "fiber"]
         # the canonical phases of Figure 1:
-        assert "task-start" in kinds
-        assert "fiber-run" in kinds
-        assert "service-request" in kinds
-        assert "fiber-suspend" in kinds
-        assert "fiber-fork" in kinds
-        assert "fiber-complete" in kinds
-        assert "task-complete" in kinds
+        assert root.kind == "task"
+        assert runs
+        # the service request is a queue hop sent from a fiber run
+        assert any(s.kind == "queue-hop" and s.attrs["service"] == "Pricing"
+                   and by_id[s.parent_id].kind == "fiber-run" for s in tree)
+        assert any(s.attrs.get("suspend") == "service-call" for s in runs)
+        assert any("parent_fiber" in s.attrs for s in fibers)  # forks
+        assert all(s.attrs["status"] == "completed" for s in fibers)
+        assert root.attrs["status"] == "completed"
         # ordering: start < first run < suspend-for-service < complete
-        t = {k: min(e.time for e in events if e.kind == k) for k in set(kinds)}
-        assert t["task-start"] <= t["fiber-run"]
-        assert t["fiber-run"] <= t["fiber-suspend"]
-        assert t["fiber-suspend"] <= t["task-complete"]
+        first_run = min(s.start for s in runs)
+        service_suspend = min(s.end for s in runs
+                              if s.attrs.get("suspend") == "service-call")
+        assert root.start <= first_run <= service_suspend <= root.end
 
     def test_result_correct(self):
         env, task_id = self._run_sample_workflow()
@@ -106,14 +111,16 @@ class TestFigure1Lifetime:
 
     def test_suspensions_match_resumes(self):
         env, task_id = self._run_sample_workflow()
-        events = env.cluster.trace.for_task(task_id)
-        suspends = sum(1 for e in events if e.kind == "fiber-suspend")
-        resumes = sum(1 for e in events
-                      if e.kind == "fiber-run" and e.detail.get("resume"))
-        assert suspends == resumes
+        runs = [s for s in env.tracer.task_tree(task_id)
+                if s.kind == "fiber-run"]
+        suspends = sum(1 for s in runs if "suspend" in s.attrs)
+        resumes = sum(1 for s in runs if s.attrs["resume"])
+        assert suspends == resumes > 0
 
     def test_trace_renders(self):
         env, task_id = self._run_sample_workflow()
-        text = env.cluster.trace.render(env.cluster.trace.for_task(task_id))
-        assert "task-start" in text
-        assert "task-complete" in text
+        text = env.tracer.render_tree(env.tracer.task_root(task_id))
+        assert text.startswith(f"task task:{task_id} ")
+        assert "fiber-run run:" in text
+        assert "suspend=service-call" in text
+        assert "status=completed" in text

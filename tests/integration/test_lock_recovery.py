@@ -111,9 +111,11 @@ class TestLeaseRecovery:
             summary["fibers_reawakened"]
         assert env.metrics.histogram("recovery.latency").count == \
             summary["locks_expired"]
+        assert len(env.tracer.of_kind("recovery")) == summary["locks_expired"]
+        assert len(env.tracer.of_kind("fiber-reawakened")) == \
+            summary["fibers_reawakened"]
         rebuilds = env.metrics.get("history.rebuilds")
         assert rebuilds >= 1
-        assert rebuilds == len(env.cluster.trace.of_kind("fiber-rebuild"))
         assert rebuilds == sum(
             1 for span in env.tracer.of_kind("history")
             if span.attrs.get("mode") == "rebuild")
@@ -195,10 +197,9 @@ class TestCrashOnLockCampaign:
                              locks="file", lease_ttl=1.0)
         second = run_campaign(plan, seed=33, tasks=2, nodes=3,
                               locks="file", lease_ttl=1.0)
-        assert first.signature("lease-expired", "fiber-reawakened",
-                               "fault.injected") \
-            == second.signature("lease-expired", "fiber-reawakened",
-                                "fault.injected")
+        kinds = ("recovery", "fiber-reawakened", "fault")
+        assert first.signature(*kinds) == second.signature(*kinds)
+        assert first.signature("recovery")  # the lease really lapsed
 
     def test_crash_during_persist_file_locks(self):
         """Crash mid-persist under file locks: rollback + lease

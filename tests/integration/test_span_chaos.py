@@ -4,7 +4,7 @@ The span model's hardest claim: even when node kills force in-flight
 messages to be redelivered, every redelivery's queue-hop span links
 back to the hop it retries, so a task's whole chaotic lifetime still
 reconstructs as one causal tree.  This reuses the chaos campaign from
-``test_chaos`` with span tracing switched on."""
+``test_chaos`` with tracing switched on."""
 
 import random
 
@@ -20,7 +20,7 @@ from .test_chaos import WORKFLOW, data_service, expected_total
 def run_traced_campaign(seed: int, kills: int, nodes: int = 4,
                         tasks: int = 4) -> VinzEnvironment:
     rng = random.Random(seed)
-    env = VinzEnvironment(nodes=nodes, seed=seed, trace=False, spans=True)
+    env = VinzEnvironment(nodes=nodes, seed=seed, trace=True)
     env.deploy_service(data_service())
     env.deploy_workflow("Chaos", WORKFLOW, spawn_limit=3)
 
@@ -59,6 +59,7 @@ class TestSpanTreeUnderChaos:
 
         assert tracer.verify_parents() == [], \
             "chaos produced spans with dangling parent ids"
+        assert tracer.open_spans() == [], "a span outlived the run"
         retries = [span for span in tracer.of_kind("queue-hop")
                    if "retry_of" in span.attrs]
         for hop in retries:

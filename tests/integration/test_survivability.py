@@ -26,10 +26,8 @@ class TestNodeFailureDuringWorkflow:
         env.deploy_workflow("W", MULTI_STAGE)
         task_id = env.start("W", [1, 2, 3, 4])
         # let the workflow get going, then kill a node that has run fibers
-        env.cluster.run_until(
-            lambda: any(e.kind == "fiber-run" for e in env.cluster.trace.events))
-        ran_on = [e.detail["node"] for e in env.cluster.trace.events
-                  if e.kind == "fiber-run"]
+        env.cluster.run_until(lambda: env.tracer.of_kind("fiber-run"))
+        ran_on = [s.attrs["node"] for s in env.tracer.of_kind("fiber-run")]
         env.fail_node(ran_on[0])
         task = env.wait_for_task(task_id)
         assert task.status == COMPLETED
@@ -40,8 +38,8 @@ class TestNodeFailureDuringWorkflow:
         env.deploy_workflow("W", MULTI_STAGE)
         task_id = env.start("W", [1, 2, 3])
         env.cluster.run_until(
-            lambda: any(e.kind == "fiber-suspend"
-                        for e in env.cluster.trace.events))
+            lambda: any("suspend" in s.attrs
+                        for s in env.tracer.of_kind("fiber-run")))
         nodes = list(env.cluster.nodes)
         env.fail_node(nodes[0])
         env.fail_node(nodes[1])
@@ -58,11 +56,8 @@ class TestNodeFailureDuringWorkflow:
               (workflow-sleep 1)
               :survived)""")
         task_id = env.start("W", None)
-        env.cluster.run_until(
-            lambda: any(e.kind == "fiber-run"
-                        for e in env.cluster.trace.events))
-        victim = [e for e in env.cluster.trace.events
-                  if e.kind == "fiber-run"][0].detail["node"]
+        env.cluster.run_until(lambda: env.tracer.of_kind("fiber-run"))
+        victim = env.tracer.of_kind("fiber-run")[0].attrs["node"]
         env.fail_node(victim)
         task = env.wait_for_task(task_id)
         assert task.status == COMPLETED

@@ -20,7 +20,7 @@ def sample_tracer():
                        parent_id=task, msg=1)
     op = tracer.begin("op:Run", kind="operation", start=0.2,
                       parent_id=hop, node="node-0", task="t1")
-    tracer.annotate(hop, 0.15, "fault.delay", delay=0.5)
+    tracer.event("fault", 0.15, hop, name="fault.delay", delay=0.5)
     tracer.end(op, end=0.4)
     tracer.end(hop, end=0.4)
     tracer.end(task, end=0.4)
@@ -52,12 +52,19 @@ def test_nodes_become_processes_queue_hops_get_queue_track():
 
 
 def test_annotations_become_instant_events():
+    """Point events export as instant events on their parent's track."""
     tracer, _task, hop, _op = sample_tracer()
-    instants = [e for e in chrome_trace_events(tracer) if e["ph"] == "i"]
+    events = chrome_trace_events(tracer)
+    instants = [e for e in events if e["ph"] == "i"]
     assert len(instants) == 1
     assert instants[0]["name"] == "fault.delay"
-    assert instants[0]["args"]["span"] == hop
+    assert instants[0]["cat"] == "fault"
+    assert instants[0]["ts"] == 0.15 * 1e6
+    assert instants[0]["args"]["parent"] == hop
     assert instants[0]["args"]["delay"] == 0.5
+    hop_event = next(e for e in events if e["args"].get("span") == hop)
+    assert (instants[0]["pid"], instants[0]["tid"]) == \
+        (hop_event["pid"], hop_event["tid"])
 
 
 def test_round_trip_through_file(tmp_path):
@@ -68,7 +75,8 @@ def test_round_trip_through_file(tmp_path):
     assert doc["displayTimeUnit"] == "ms"
     assert doc == chrome_trace(tracer)
     tree = span_tree_from_events(doc["traceEvents"])
-    assert tree == {task: 0, hop: task, op: hop}
+    fault = next(s.id for s in tracer.spans() if s.point)
+    assert tree == {task: 0, hop: task, op: hop, fault: hop}
 
 
 def test_non_jsonable_attrs_are_stringified():
@@ -89,8 +97,6 @@ def test_json_report_covers_the_whole_environment():
     assert report["virtual_time"] > 0
     assert report["spans"]["created"] > 0
     assert report["spans"]["by_kind"].get("task") == 1
-    assert report["trace_log"]["events"] > 0
-    assert report["trace_log"]["dropped"] == 0
     assert "queue.wait" in report["metrics"]["histograms"]
     assert report["metrics"]["histograms"]["queue.wait"]["count"] > 0
     assert "mutable" in report["cache_hit_rates"]

@@ -51,9 +51,13 @@ class TestCli:
 
     def test_trace(self):
         out = cli("trace", PORTFOLIO, "((:price 3.0 :quantity 2))")
-        assert "task-start" in out
-        assert "task-complete" in out
-        assert "completed" in out
+        lines = out.splitlines()
+        # the task's span tree: its root first, fiber runs beneath it
+        assert lines[0].startswith("task task:task-1 ")
+        assert "status=completed" in lines[0]
+        assert any(line.lstrip().startswith("fiber-run run:")
+                   for line in lines)
+        assert "task task-1: completed" in out
 
     def test_production_day(self):
         out = cli("production-day", "0.001", "--nodes", "4", "--slots", "2")

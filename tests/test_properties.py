@@ -271,9 +271,9 @@ class TestFaultPlanProperties:
         assert tasks and all(t.status == "completed"
                              for t in tasks.values()), report.statuses
         assert report.wrong_results() == []
-        completed_msgs = {e.detail["msg"]
-                          for e in report.env.cluster.trace.events
-                          if e.kind == "complete" and "msg" in e.detail}
+        completed_msgs = {s.attrs["msg"]
+                          for s in report.env.tracer.of_kind("operation")
+                          if "ok" in s.attrs}
         dead = set(report.env.cluster.queue.dead_letter_ids())
         assert completed_msgs.isdisjoint(dead)
         assert report.dead_lettered == 0

@@ -44,9 +44,7 @@ class TestForEach:
               (for-each (x in params) (compute 1.0) x))""",
             spawn_limit=8)
         env.run("W", list(range(8)))
-        busy_nodes = {e.detail["node"]
-                      for e in env.cluster.trace.events
-                      if e.kind == "fiber-run"}
+        busy_nodes = {s.attrs["node"] for s in env.tracer.of_kind("fiber-run")}
         assert len(busy_nodes) > 1
 
     def test_distribution_is_actually_parallel(self, env):
@@ -123,18 +121,20 @@ class TestSpawnLimit:
               (for-each (x in params) (compute 1.0) x))""",
             spawn_limit=2)
         env.run("W", list(range(6)))
-        # reconstruct in-flight children over time from the trace
-        events = [e for e in env.cluster.trace.events
-                  if e.kind in ("fiber-fork", "fiber-complete")]
+        # reconstruct in-flight children over time from their fiber
+        # spans: a fork opens one, completion closes it (a fork sorts
+        # before a completion at the same instant)
+        children = [s for s in env.tracer.of_kind("fiber")
+                    if "parent_fiber" in s.attrs]
+        assert len(children) == 6
+        edges = sorted([(s.start, +1) for s in children]
+                       + [(s.end, -1) for s in children],
+                       key=lambda edge: (edge[0], -edge[1]))
         in_flight = 0
         peak = 0
-        for event in events:
-            if event.kind == "fiber-fork":
-                in_flight += 1
-                peak = max(peak, in_flight)
-            elif event.detail.get("fiber", "").startswith("fiber-") and \
-                    event.detail["fiber"] != "fiber-1":
-                in_flight -= 1
+        for _time, delta in edges:
+            in_flight += delta
+            peak = max(peak, in_flight)
         assert peak <= 3  # limit 2 (+1 tolerance for fork/complete skew)
 
     def test_total_yields_equal_children(self, env):
@@ -287,8 +287,8 @@ class TestWorkflowSleep:
             (defun main (params) (workflow-sleep 100) :woke)""")
         task_id = env.start("W", None)
         env.cluster.run_until(
-            lambda: any(e.kind == "fiber-suspend"
-                        for e in env.cluster.trace.events))
+            lambda: any("suspend" in s.attrs
+                        for s in env.tracer.of_kind("fiber-run")))
         env.cluster.run_until(lambda: not env.cluster._in_flight)
         assert all(n.busy == 0 for n in env.cluster.nodes.values())
         env.wait_for_task(task_id)

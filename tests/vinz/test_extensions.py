@@ -71,8 +71,8 @@ class TestAffinityPlacement:
         env.deploy_workflow("W", MULTI_HOP)
         task = env.start("W", None)
         env.cluster.run_until(
-            lambda: any(e.kind == "fiber-suspend"
-                        for e in env.cluster.trace.events))
+            lambda: any("suspend" in s.attrs
+                        for s in env.tracer.of_kind("fiber-run")))
         fiber = env.registry.fibers_of(task)[0]
         env.fail_node(fiber.last_node)
         assert env.wait_for_task(task).status == "completed"
@@ -175,24 +175,25 @@ class TestSiblingChaining:
     def test_chain_respects_spawn_limit(self):
         """At most `limit` chain children run concurrently."""
         env, _ = self._run("chain", list(range(6)), spawn_limit=2)
-        events = [e for e in env.cluster.trace.events
-                  if e.kind in ("fiber-run", "fiber-complete")
-                  and e.detail.get("fiber") != "fiber-1"]
+        runs = [s for s in env.tracer.of_kind("fiber-run")
+                if s.attrs["fiber"] != "fiber-1"]
+        assert len(runs) == 6
+        # sweep the children's run intervals (an end sorts before a
+        # start at the same instant: back to back is not concurrent)
+        edges = sorted([(s.start, +1) for s in runs]
+                       + [(s.end, -1) for s in runs])
         running = 0
         peak = 0
-        for event in events:
-            if event.kind == "fiber-run":
-                running += 1
-                peak = max(peak, running)
-            else:
-                running -= 1
+        for _time, delta in edges:
+            running += delta
+            peak = max(peak, running)
         assert peak <= 2
 
     def test_chain_parent_suspends_once(self):
         env, _ = self._run("chain", list(range(6)))
-        parent_suspends = [e for e in env.cluster.trace.events
-                           if e.kind == "fiber-suspend"
-                           and e.detail.get("fiber") == "fiber-1"]
+        parent_suspends = [s for s in env.tracer.of_kind("fiber-run")
+                           if s.attrs["fiber"] == "fiber-1"
+                           and "suspend" in s.attrs]
         assert len(parent_suspends) == 1
 
     def test_chain_empty_sequence(self):
@@ -423,7 +424,7 @@ class TestAutoChunkSizing:
                 (* x 2)))""", spawn_limit=8, auto_chunk_target=target)
         result = env.call("W", items)
         task = list(env.registry.tasks.values())[0]
-        decisions = env.cluster.trace.of_kind("auto-chunk")
+        decisions = env.tracer.of_kind("auto-chunk")
         return env, result, task, decisions
 
     def test_results_correct_and_ordered(self):
@@ -435,11 +436,11 @@ class TestAutoChunkSizing:
         """Slow bodies get small chunks; fast bodies get large ones."""
         _, _, _, slow = self._run(list(range(12)), per_item=2.0)
         _, _, _, fast = self._run(list(range(12)), per_item=0.05)
-        assert slow[0].detail["size"] < fast[0].detail["size"]
+        assert slow[0].attrs["size"] < fast[0].attrs["size"]
         # slow: ~2s per item with a 2s target -> singleton chunks
-        assert slow[0].detail["size"] == 1
+        assert slow[0].attrs["size"] == 1
         # fast: many items per chunk
-        assert fast[0].detail["size"] >= 10
+        assert fast[0].attrs["size"] >= 10
 
     def test_fewer_fibers_than_unchunked_for_fast_items(self):
         items = list(range(30))
@@ -461,6 +462,5 @@ class TestAutoChunkSizing:
                 x))""", auto_chunk_target=1000.0)
         result = env.call("W", list(range(10)))
         assert result == list(range(10))
-        sizes = [e.detail["size"]
-                 for e in env.cluster.trace.of_kind("auto-chunk")]
+        sizes = [s.attrs["size"] for s in env.tracer.of_kind("auto-chunk")]
         assert all(1 <= s <= 64 for s in sizes)

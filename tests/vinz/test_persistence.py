@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.bluebox.store import StoreError
 from repro.gvm.runtime import make_runtime
+from repro.observe import MetricsRegistry
 from repro.vinz.persistence import (
     MAGIC,
     CodeRegistry,
@@ -61,10 +62,12 @@ class TestRoundTrip:
             FiberCodec("zstd")
 
     def test_statistics(self, codec):
+        metrics = MetricsRegistry()
+        codec = FiberCodec(codec.codec, metrics=metrics)
         codec.dumps([1, 2, 3])
         codec.loads(codec.dumps([4]))
-        assert codec.encoded == 2
-        assert codec.decoded == 1
+        assert metrics.histogram("codec.encode_bytes").count == 2
+        assert metrics.histogram("codec.decode_bytes").count == 1
         assert codec.raw_bytes > 0
         assert codec.stored_bytes > 0
 

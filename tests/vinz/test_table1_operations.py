@@ -187,13 +187,13 @@ class TestResumeFromCall:
         # while the Slow service runs, the workflow's fiber is persisted
         # and not occupying any node slot
         env.cluster.run_until(
-            lambda: any(e.kind == "fiber-suspend"
-                        for e in env.cluster.trace.events))
+            lambda: any("suspend" in s.attrs
+                        for s in env.tracer.of_kind("fiber-run")))
         busy = sum(n.busy for n in env.cluster.nodes.values()
                    if "W" in n.services)
         # the only busy slot (if any) is the Ext service's, not the fiber
-        suspended = [e for e in env.cluster.trace.events
-                     if e.kind == "fiber-suspend"]
+        suspended = [s for s in env.tracer.of_kind("fiber-run")
+                     if s.attrs.get("suspend") == "service-call"]
         assert suspended
         env.wait_for_task(task_id)
 
