@@ -1,6 +1,27 @@
-"""Monitoring tests: registry counters and concurrency gauges."""
+"""Monitoring tests: the event record, registry counters, concurrency
+gauges."""
 
-from repro.observe import MetricsRegistry
+from repro.observe import MetricsRegistry, SpanTracer
+
+
+class TestTraceLog:
+    """The event record is the span tracer; instants are point events."""
+
+    def test_disabled_records_nothing(self):
+        tracer = SpanTracer(enabled=False)
+        assert tracer.event("x", 1.0) == 0
+        assert tracer.begin("y", kind="operation", start=1.0) == 0
+        assert tracer.spans() == []
+
+    def test_render_format(self):
+        tracer = SpanTracer()
+        root = tracer.begin("deliver", kind="queue-hop", start=1.0,
+                            node="n1")
+        tracer.event("fault", 1.5, root, name="fault.drop", node="n1")
+        tracer.end(root, end=2.0)
+        text = tracer.render_tree(tracer.get(root))
+        assert "deliver" in text and "node=n1" in text
+        assert "@ 1.500 fault.drop node=n1" in text
 
 
 class TestCounters:
