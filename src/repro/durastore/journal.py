@@ -13,8 +13,8 @@ mismatch during :meth:`replay` and exactly the uncommitted suffix is
 dropped — committed batches always survive, uncommitted ones never do.
 
 Checkpoints bound replay time: every ``checkpoint_interval`` commits the
-journal owner snapshots the full key space into a checkpoint frame and
-truncates the log.
+journal owner snapshots the committed key space into a checkpoint frame
+and truncates the log.
 """
 
 from __future__ import annotations

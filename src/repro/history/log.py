@@ -17,7 +17,6 @@ rebuild a fiber from half its life and diverge — or worse, not diverge.
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Dict, List, Optional
 
 from ..bluebox.store import StoreError
@@ -84,15 +83,15 @@ class HistoryLog:
                      codec) -> None:
         """Append one committed window's events for ``task_id``.
 
-        Payloads are serialized through the workflow's fiber codec so
-        anything a fiber can hold (GozerFunctions included) round-trips,
-        and byte-for-byte deterministically — the property the
-        recorder-determinism test pins down.
+        The batch is one pass of the workflow's fiber codec — one
+        pickle, one deflate, one header — so anything a fiber can hold
+        (GozerFunctions included) round-trips, and byte-for-byte
+        deterministically: the property the recorder-determinism test
+        pins down.
         """
-        encoded = [(e.seq, e.kind, e.fiber, codec.dumps(e.payload))
-                   for e in events]
-        payload = pickle.dumps((SCHEMA_VERSION, encoded), protocol=4)
-        blob = crc_frame(payload, HISTORY_MAGIC)
+        blob = crc_frame(codec.dumps((SCHEMA_VERSION, [
+            (e.seq, e.kind, e.fiber, e.payload) for e in events])),
+            HISTORY_MAGIC)
         index = self._next_batch.get(task_id, 0)
         self._next_batch[task_id] = index + 1
         key = self._key(task_id, index)
@@ -140,17 +139,18 @@ class HistoryLog:
                 raise TornHistoryError(task_id, index,
                                        tail_error or "empty-frame")
             try:
-                version, encoded = pickle.loads(payloads[0])
-            except Exception as exc:  # pragma: no cover - CRC catches most
+                # DeserializationError is a ValueError; a payload that
+                # is not a pair fails the unpacking with one of the two
+                version, encoded = codec.loads(payloads[0])
+            except (TypeError, ValueError) as exc:
                 raise HistoryCorruptionError(task_id, index,
                                              f"undecodable batch: {exc}")
             if version != SCHEMA_VERSION:
                 raise HistoryCorruptionError(
                     task_id, index, f"schema version {version} "
                     f"(expected {SCHEMA_VERSION})")
-            for seq, kind, fiber, payload_blob in encoded:
-                events.append(HistoryEvent(seq, kind, fiber,
-                                           codec.loads(payload_blob)))
+            events.extend(HistoryEvent(seq, kind, fiber, payload)
+                          for seq, kind, fiber, payload in encoded)
             index = index + 1
         # a dropped batch leaves a hole: either the batch index stops
         # short of what the writer appended, or (defense in depth) the

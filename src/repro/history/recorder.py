@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 #: bump when event payload shapes change; stored in every batch frame
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # -- event kinds ------------------------------------------------------------
 

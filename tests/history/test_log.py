@@ -126,6 +126,27 @@ class TestHistoryFaultsFailClosed:
         with pytest.raises(DroppedBatchError):
             log.read_task("task-1", codec)
 
+    def test_old_batch_layout_fails_closed(self):
+        """A schema-1 batch (per-event codec blobs inside a plain
+        pickle) and a schema-1 tuple in the current framing are both
+        refused with the typed error, never a raw exception."""
+        import pickle
+
+        from repro.bluebox.store import SharedStore
+        from repro.history.log import HISTORY_MAGIC
+        from repro.vinz.persistence import crc_frame
+
+        codec = FiberCodec()
+        old_events = [(0, "task-started", None, codec.dumps({"root": "f"}))]
+        for payload in (pickle.dumps((1, old_events), protocol=4),
+                        codec.dumps((1, [(0, "task-started", None, {})]))):
+            log = HistoryLog(SharedStore())
+            log.store.write(log._key("task-1", 0),
+                            crc_frame(payload, HISTORY_MAGIC))
+            with pytest.raises(HistoryCorruptionError) as caught:
+                log.read_task("task-1", codec)
+            assert caught.value.batch == 0
+
     def test_corrupt_frame_raises_typed_error(self):
         report = self._campaign(HistoryFault("corrupt-frame", nth=2))
         assert report.injected.get("corrupt-frame", 0) >= 1

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.lang.symbols import Keyword as K
-from repro.vinz.api import VinzEnvironment
+from repro.vinz.api import VinzEnvironment, WorkflowError
 from repro.vinz.task import COMPLETED
 
 from .test_chaos import WORKFLOW, data_service, expected_total
@@ -93,3 +93,57 @@ class TestSpanTreeUnderChaos:
             kinds = {span.kind for span in tree}
             assert {"task", "fiber", "queue-hop", "operation",
                     "fiber-run"} <= kinds
+
+
+def assert_no_span_ends_before_its_last_run(tracer):
+    """A fiber or task span ends at or after every fiber-run span of
+    that fiber or task: its finish time includes the run's charges."""
+    last_run = {}
+    for run in tracer.of_kind("fiber-run"):
+        for kind in ("fiber", "task"):
+            key = (kind, run.attrs[kind])
+            last_run[key] = max(last_run.get(key, run.end), run.end)
+    checked = 0
+    for span in tracer.of_kind("fiber", "task"):
+        key = (span.kind, span.attrs[span.kind])
+        if key in last_run:
+            assert span.end >= last_run[key], \
+                f"{span.name} ends at {span.end}, before its last run " \
+                f"at {last_run[key]}"
+            checked += 1
+    assert checked
+
+
+SWEEPING = """
+(defun sleeper (n) (workflow-sleep 5) n)
+
+(defun stopper (n) (compute 0.05) (terminate-task "stopped") n)
+
+(defun main (params)
+  (fork-and-exec #'sleeper :argument 1)
+  (when (getf params :stop)
+    (join-process (fork-and-exec #'stopper :argument 2)))
+  (compute 0.1)
+  :done)
+"""
+
+
+class TestFinishTimes:
+    @pytest.mark.parametrize("seed,kills", [(101, 0), (202, 6), (505, 6)])
+    def test_chaos_spans_end_after_their_last_run(self, seed, kills):
+        env = run_traced_campaign(seed=seed, kills=kills)
+        assert_no_span_ends_before_its_last_run(env.tracer)
+
+    def test_sweeping_finishes_end_after_their_last_run(self):
+        """A root that completes, or a child that terminates the task,
+        while a sibling still sleeps: the sweep's reclaim IO is charged
+        before the finish times are taken."""
+        env = VinzEnvironment(nodes=2, seed=3, trace=True)
+        env.deploy_workflow("Sweep", SWEEPING)
+        assert env.call("Sweep", []) == K("done")
+        with pytest.raises(WorkflowError, match="stopped"):
+            env.call("Sweep", [K("stop"), True])
+        env.cluster.run_until_idle()
+        statuses = sorted(t.status for t in env.registry.tasks.values())
+        assert statuses == ["completed", "error"]
+        assert_no_span_ends_before_its_last_run(env.tracer)
