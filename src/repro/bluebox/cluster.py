@@ -235,10 +235,12 @@ class Cluster:
         (the sender's operation window or fiber run); the message's
         queue-hop span becomes its child.
         """
-        if service not in self.services:
+        target = self.services.get(service)
+        if target is None:
             raise KeyError(f"no service named {service!r} is deployed")
         message = self.queue.make_message(service, operation, body,
-                                          priority=priority,
+                                          priority=target.message_priority(
+                                              operation, body, priority),
                                           reply_to=reply_to,
                                           now=self.kernel.now,
                                           max_attempts=max_attempts,

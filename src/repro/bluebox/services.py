@@ -234,6 +234,12 @@ class Service:
     def on_deployed(self, cluster) -> None:
         """Hook: called once when the service is deployed to a cluster."""
 
+    def message_priority(self, operation: str, body: Dict[str, Any],
+                         priority: int) -> int:
+        """Hook: the queue priority of a message sent to this service.
+        The default keeps the sender's ``priority``."""
+        return priority
+
     def __repr__(self) -> str:
         return f"<Service {self.name} ops={sorted(self._handlers)}>"
 

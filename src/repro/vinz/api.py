@@ -365,9 +365,15 @@ class VinzEnvironment:
         slack onto the priority scale so tighter deadlines are
         delivered first.
         """
-        if self.scheduling_policy != "edf" or task.deadline is None:
+        return self.deadline_priority(task.deadline, default)
+
+    def deadline_priority(self, deadline: Optional[float],
+                          default: int) -> int:
+        """The EDF priority of work due at ``deadline`` (absolute
+        virtual time); ``default`` under FCFS or without a deadline."""
+        if self.scheduling_policy != "edf" or deadline is None:
             return default
-        slack = task.deadline - self.cluster.kernel.now
+        slack = deadline - self.cluster.kernel.now
         if slack <= 0:
             return 1
         # linear map of [0, horizon] onto priorities [1, 8]

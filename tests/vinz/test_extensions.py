@@ -235,17 +235,17 @@ class TestDeadlineScheduling:
         env.deploy_workflow("W", """
             (defun main (params) (compute 1.0) :done)""")
         n = 10
-        deadlines = []
         for i in range(n):
             deadline = 2.0 + (n - 1 - i) * 0.7  # inverse to submit order
-            deadlines.append(deadline)
             env.cluster.send("W", "Start",
                              {"params": i, "deadline": deadline})
         env.cluster.run_until_idle()
         misses = 0
-        for task, deadline in zip(env.registry.tasks.values(), deadlines):
+        # EDF creates tasks in deadline order, not submission order:
+        # judge each task by the deadline it carries
+        for task in env.registry.tasks.values():
             assert task.status == "completed"
-            if task.finished_at > deadline:
+            if task.finished_at > task.deadline:
                 misses += 1
         return misses
 
@@ -253,6 +253,23 @@ class TestDeadlineScheduling:
         fcfs = self._run_batch("fcfs")
         edf = self._run_batch("edf")
         assert edf < fcfs
+
+    def test_edf_orders_start_messages_by_deadline(self):
+        """A client's Start carries its deadline to the queue, so under
+        EDF the tightest-deadline task is created first."""
+        def first_created(policy):
+            env = VinzEnvironment(nodes=1, slots=1, seed=3, trace=False)
+            env.scheduling_policy = policy
+            env.edf_horizon = 10.0
+            env.deploy_workflow("W", "(defun main (params) :done)")
+            for deadline in (9.0, 5.0, 0.5):
+                env.cluster.send("W", "Start",
+                                 {"params": None, "deadline": deadline})
+            env.cluster.run_until_idle()
+            return next(iter(env.registry.tasks.values())).deadline
+
+        assert first_created("fcfs") == 9.0
+        assert first_created("edf") == 0.5
 
     def test_fcfs_is_default(self):
         env = VinzEnvironment(nodes=1)
